@@ -1,4 +1,4 @@
-.PHONY: check lint test build vet race chaos bench obs
+.PHONY: check lint test build vet race chaos bench repobench obs
 
 # Full gate: lint + build + tests (incl. the 20-seed chaos campaign) +
 # race detector + bench smoke. This is what CI runs.
@@ -29,6 +29,11 @@ chaos:
 
 bench:
 	go test -bench=. -benchtime=1x -run '^$$' .
+
+# The repo benchmark's own module (bench/): vet, tests and a smoke run of
+# every workload. `bench` above is the root module's go test -bench.
+repobench:
+	./scripts/check.sh repobench
 
 # Observability slice: write-path tracing, metrics registries, and the
 # admin /metrics + /trace scrapes, race detector on.

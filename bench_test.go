@@ -331,8 +331,8 @@ func BenchmarkGroupCommitPipeline(b *testing.B) {
 // (DESIGN.md §8) at 1, 4 and 16 rings per process: routed write
 // throughput, the physical heartbeat message rate per (node, peer) pair
 // per interval — held ≈1 by coalescing regardless of shard count — the
-// per-message shard fan-out, and the shared fsync group's coalescing
-// ratio.
+// per-message shard fan-out, and the per-node sync groups' requests per
+// physical sync (1.0 by construction).
 func BenchmarkMultiRaftShards(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		shards := shards

@@ -3,7 +3,7 @@ package adminapi
 // observability.go is the scrape-and-drill-down surface: GET /metrics
 // renders the whole process in one exposition — the runtime-scope
 // registry (shard count, table generation, split counters), each node's
-// shared-resource registry (coalescing, demux drops, fsync funnel)
+// shared-resource registry (coalescing, demux drops, fsync counters)
 // labeled with the node, and every (shard, member) registry's
 // write-path stage histograms and raft/binlog/applier gauges labeled
 // with both dimensions. GET /trace returns the per-(shard, member)

@@ -5,8 +5,8 @@ package experiments
 // per-(node, peer) heartbeat message rate stays O(1) in N — the demux
 // ships one coalesced message per peer per interval carrying all N
 // shard heartbeats — while routed write throughput scales with the
-// shard count, and the shared fsync group coalesces every ring's log
-// syncs into far fewer device flushes.
+// shard count: each ring's log writer issues its own fsyncs, which the
+// per-node SyncGroup counts and lets overlap.
 
 import (
 	"context"
@@ -41,8 +41,9 @@ type MultiRaftResult struct {
 	// multiplier a lone message rate of 1 hides.
 	HBFanout float64
 	// FsyncRequests / FsyncPhysical count ring-issued log syncs vs device
-	// flushes the shared per-node SyncGroup actually performed during the
-	// workload window.
+	// flushes as the per-node SyncGroups saw them up to the end of the
+	// workload window (equal: every ring's writer is its store's only
+	// caller).
 	FsyncRequests int64
 	FsyncPhysical int64
 	Params        Params
@@ -71,7 +72,7 @@ func (r *MultiRaftResult) String() string {
 func MultiRaftShards(ctx context.Context, p Params, shards int) (*MultiRaftResult, error) {
 	p = p.withDefaults()
 	if p.FsyncLatency == 0 {
-		p.FsyncLatency = time.Millisecond // a datacenter SSD; tmpfs would hide coalescing
+		p.FsyncLatency = time.Millisecond // a datacenter SSD; tmpfs would hide the device
 	}
 	const hb = 10 * time.Millisecond
 	rt, err := multiraft.New(multiraft.Options{
@@ -129,7 +130,7 @@ func MultiRaftShards(ctx context.Context, p Params, shards int) (*MultiRaftResul
 	res.Writes = writes.Load()
 	res.WritesPerSec = float64(res.Writes) / p.Duration.Seconds()
 
-	// Shared-fsync coalescing over the workload window.
+	// Per-node fsync accounting over the workload window.
 	for _, id := range rt.Nodes() {
 		st := rt.SyncGroup(id).Stats()
 		res.FsyncRequests += st.Requests

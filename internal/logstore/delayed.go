@@ -19,6 +19,40 @@ type Store interface {
 	Sync() error
 }
 
+// SnapshotAnchor returns inner's snapshot anchor when it has one and
+// opid.Zero otherwise. Every Store wrapper forwards through it (and
+// ScanFrom): raft probes its log store for these two optional methods,
+// and a wrapper that hid them would silently lose the snapshot boundary
+// and the fast recovery scan.
+func SnapshotAnchor(inner Store) opid.OpID {
+	if a, ok := inner.(interface{ SnapshotAnchor() opid.OpID }); ok {
+		return a.SnapshotAnchor()
+	}
+	return opid.Zero
+}
+
+// ScanFrom streams inner's entries from index from through its sequential
+// scan when it has one, falling back to per-entry reads otherwise.
+func ScanFrom(inner Store, from uint64, fn func(*wire.LogEntry) bool) error {
+	type scanner interface {
+		ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error
+	}
+	if s, ok := inner.(scanner); ok {
+		return s.ScanFrom(from, fn)
+	}
+	last := inner.LastOpID().Index
+	for idx := from; idx != 0 && idx <= last; idx++ {
+		e, err := inner.Entry(idx)
+		if err != nil {
+			return err
+		}
+		if !fn(e) {
+			return nil
+		}
+	}
+	return nil
+}
+
 // Delayed wraps a Store and injects fixed latency into Append and Sync,
 // modeling a real storage device: the repository's tests and benchmarks
 // run on fast local filesystems (often tmpfs) where fsync is nearly
@@ -62,34 +96,10 @@ func (d Delayed) Sync() error {
 	return d.Inner.Sync()
 }
 
-// SnapshotAnchor forwards the inner store's snapshot anchor when it has
-// one, so wrapping does not hide the snapshot boundary from raft.
-func (d Delayed) SnapshotAnchor() opid.OpID {
-	if a, ok := d.Inner.(interface{ SnapshotAnchor() opid.OpID }); ok {
-		return a.SnapshotAnchor()
-	}
-	return opid.Zero
-}
+// SnapshotAnchor implements the optional interface raft probes for.
+func (d Delayed) SnapshotAnchor() opid.OpID { return SnapshotAnchor(d.Inner) }
 
-// ScanFrom forwards to the inner store's sequential scan when it has
-// one, falling back to per-entry reads otherwise, so wrapping does not
-// hide the fast recovery path.
+// ScanFrom implements the optional interface raft probes for.
 func (d Delayed) ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error {
-	type scanner interface {
-		ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error
-	}
-	if s, ok := d.Inner.(scanner); ok {
-		return s.ScanFrom(from, fn)
-	}
-	last := d.Inner.LastOpID().Index
-	for idx := from; idx != 0 && idx <= last; idx++ {
-		e, err := d.Inner.Entry(idx)
-		if err != nil {
-			return err
-		}
-		if !fn(e) {
-			return nil
-		}
-	}
-	return nil
+	return ScanFrom(d.Inner, from, fn)
 }

@@ -165,34 +165,10 @@ func (f *Faulty) TruncateAfter(index uint64) ([]*wire.LogEntry, error) {
 	return cut, err
 }
 
-// SnapshotAnchor forwards the inner store's snapshot anchor when it has
-// one, so wrapping does not hide the snapshot boundary from raft.
-func (f *Faulty) SnapshotAnchor() opid.OpID {
-	if a, ok := f.inner.(interface{ SnapshotAnchor() opid.OpID }); ok {
-		return a.SnapshotAnchor()
-	}
-	return opid.Zero
-}
+// SnapshotAnchor implements the optional interface raft probes for.
+func (f *Faulty) SnapshotAnchor() opid.OpID { return SnapshotAnchor(f.inner) }
 
-// ScanFrom forwards to the inner store's sequential scan when it has one,
-// falling back to per-entry reads, so wrapping does not hide the fast
-// recovery path.
+// ScanFrom implements the optional interface raft probes for.
 func (f *Faulty) ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error {
-	type scanner interface {
-		ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error
-	}
-	if s, ok := f.inner.(scanner); ok {
-		return s.ScanFrom(from, fn)
-	}
-	last := f.inner.LastOpID().Index
-	for idx := from; idx != 0 && idx <= last; idx++ {
-		e, err := f.inner.Entry(idx)
-		if err != nil {
-			return err
-		}
-		if !fn(e) {
-			return nil
-		}
-	}
-	return nil
+	return ScanFrom(f.inner, from, fn)
 }

@@ -128,3 +128,55 @@ func TestDelayedForwardsAndDelays(t *testing.T) {
 		t.Fatalf("truncate: %d removed, %v", len(removed), err)
 	}
 }
+
+// Both wrappers forward the two optional methods raft probes for through
+// one helper pair: over a store that has the fast paths they reach them,
+// and over one that hides them (plain is only a Store) the scan falls
+// back to per-entry reads and the anchor is zero.
+func TestWrappersForwardOptionalMethods(t *testing.T) {
+	s := openStore(t)
+	for i := uint64(1); i <= 4; i++ {
+		if err := s.Append(entry(1, i, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	anchor := opid.OpID{Term: 1, Index: 4}
+	if err := s.Log.ResetTo(anchor, gtid.NewSet()); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(5); i <= 7; i++ {
+		if err := s.Append(entry(1, i, "y")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type plain struct{ Store }
+	type forwarder interface {
+		SnapshotAnchor() opid.OpID
+		ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error
+	}
+	cases := []struct {
+		name   string
+		w      forwarder
+		anchor opid.OpID
+	}{
+		{"delayed/fast", Delayed{Inner: s}, anchor},
+		{"faulty/fast", NewFaulty(s), anchor},
+		{"delayed/fallback", Delayed{Inner: plain{s}}, opid.Zero},
+		{"faulty/fallback", NewFaulty(plain{s}), opid.Zero},
+	}
+	for _, c := range cases {
+		if got := c.w.SnapshotAnchor(); got != c.anchor {
+			t.Fatalf("%s: SnapshotAnchor = %+v, want %+v", c.name, got, c.anchor)
+		}
+		var got []uint64
+		if err := c.w.ScanFrom(6, func(e *wire.LogEntry) bool {
+			got = append(got, e.OpID.Index)
+			return e.OpID.Index < 7
+		}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(got) != 2 || got[0] != 6 || got[1] != 7 {
+			t.Fatalf("%s: scan = %v, want [6 7]", c.name, got)
+		}
+	}
+}

@@ -12,8 +12,9 @@
 //     (node, peer) pair per interval carries every co-located shard
 //     leader's heartbeat, collapsing O(shards × peers) messages into
 //     O(peers);
-//   - a shared-resource layer per node: one SyncGroup funneling every
-//     shard's log-writer fsync, and one retention scheduler driving every
+//   - a shared-resource layer per node: one SyncGroup accounting for every
+//     shard's log-writer fsync (each issued on its own ring's writer, so
+//     rings' fsyncs overlap), and one retention scheduler driving every
 //     shard's snapshot/purge cycle;
 //   - a Router mapping keys to shards over reloadable hash-range tables,
 //     and a leader balancer spreading shard leaders across up nodes.
@@ -80,8 +81,8 @@ type Options struct {
 	OnRoleChange func(shard wire.ShardID, rc raft.RoleChange)
 	// WrapLogStore, when set, wraps each member's log store before the
 	// shared per-node SyncGroup does (fault injection, modeled device
-	// latency). The sync group always stays outermost so every shard's
-	// fsyncs still funnel through one worker per node.
+	// latency). The sync group always stays outermost so it counts every
+	// sync a shard's log writer asks for.
 	WrapLogStore func(id wire.NodeID, store raft.LogStore) raft.LogStore
 }
 
@@ -345,7 +346,7 @@ func (rt *Runtime) Registry() *discovery.Registry { return rt.registry }
 // Demux returns one node's shard demultiplexer (nil for unknown nodes).
 func (rt *Runtime) Demux(id wire.NodeID) *transport.Demux { return rt.demuxes[id] }
 
-// SyncGroup returns one node's shared fsync group (nil for unknown
+// SyncGroup returns one node's fsync accounting group (nil for unknown
 // nodes).
 func (rt *Runtime) SyncGroup(id wire.NodeID) *SyncGroup { return rt.syncs[id] }
 
@@ -450,7 +451,7 @@ func (rt *Runtime) Metrics() *metrics.Registry {
 
 // NodeRegistry pairs one node with its shared-resource instrument
 // registry (leaders held, heartbeat-coalescing traffic, demux drops,
-// fsync funnel counters). The admin exporter attaches a node label to
+// fsync counters). The admin exporter attaches a node label to
 // each, so the families stay properly named across the fleet.
 type NodeRegistry struct {
 	ID  wire.NodeID
@@ -562,16 +563,13 @@ func (rt *Runtime) RunRetention(ctx context.Context, opts cluster.RetentionOptio
 }
 
 // Close tears the whole process set down: every shard ring, then the
-// shared demuxes, fsync groups and network.
+// shared demuxes and network.
 func (rt *Runtime) Close() {
 	for _, c := range rt.shardList() {
 		c.Close()
 	}
 	for _, d := range rt.demuxes {
 		d.Close()
-	}
-	for _, g := range rt.syncs {
-		g.Close()
 	}
 	rt.net.Close()
 }

@@ -1,201 +1,78 @@
 package multiraft
 
-// syncgroup.go is the shared-resource half of the runtime's storage
-// story: a process hosting 16 shards must not run 16 independent fsync
-// schedules against the same device. One SyncGroup per node funnels every
-// shard's log-writer Sync through a single worker goroutine — requests
-// that arrive while a sync is in flight coalesce per store (the PR 2
-// group-commit rule, applied across rings), and distinct stores'
-// syncs serialize, modeling one disk per node.
+// syncgroup.go is the storage half of the runtime's shared per-node
+// layer: one SyncGroup per node sees every hosted ring's log-writer
+// fsync. Each ring's log writer is its store's only Sync caller and
+// already groups that ring's appends behind one fsync (the PR 2
+// group-commit rule), so there is nothing left to coalesce across rings:
+// the group counts the syncs and issues each on its caller's goroutine.
+// Different stores' syncs therefore overlap freely (a shared worker or a
+// per-node round barrier would make every ring wait out its neighbours'
+// fsyncs), and a node's device concurrency is bounded by the number of
+// rings it hosts.
 
 import (
-	"sync"
+	"sync/atomic"
 
+	"myraft/internal/logstore"
 	"myraft/internal/opid"
 	"myraft/internal/raft"
 	"myraft/internal/wire"
 )
 
-// SyncGroupStats snapshots one group's coalescing counters.
+// SyncGroupStats snapshots one group's counters.
 type SyncGroupStats struct {
 	// Requests counts Sync calls from shard log writers.
 	Requests int64
-	// Syncs counts physical Sync calls issued to stores. Requests/Syncs
-	// is the cross-shard coalescing factor.
+	// Syncs counts physical Sync calls issued to stores. With one caller
+	// per store every request is its own physical sync, so
+	// Requests/Syncs reads 1.0.
 	Syncs int64
 }
 
-// SyncGroup coalesces fsync requests from every shard hosted on one node.
+// SyncGroup accounts for the fsyncs of every shard hosted on one node.
+// The zero value is ready to use.
 type SyncGroup struct {
-	mu       sync.Mutex
-	pending  map[raft.LogStore]*syncBatch
-	queue    []*syncBatch
-	requests int64
-	syncs    int64
-	closed   bool
-
-	wake chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
+	syncs atomic.Int64
 }
 
-// syncBatch is one scheduled physical sync of one store; every request
-// that arrives before the worker takes the batch shares its result.
-type syncBatch struct {
-	store raft.LogStore
-	done  chan struct{}
-	err   error
-}
+// NewSyncGroup returns an empty group.
+func NewSyncGroup() *SyncGroup { return &SyncGroup{} }
 
-// NewSyncGroup starts a group with its worker goroutine.
-func NewSyncGroup() *SyncGroup {
-	g := &SyncGroup{
-		pending: make(map[raft.LogStore]*syncBatch),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
-	g.wg.Add(1)
-	go g.run()
-	return g
-}
-
-// Sync schedules a durability barrier for store and blocks until a
-// physical sync that began after this call completes. Concurrent callers
-// for the same store share one sync.
+// Sync issues store's durability barrier on the calling goroutine. It
+// neither waits for nor is ordered against any other store's sync, so one
+// store's stall or error stays that store's alone.
 func (g *SyncGroup) Sync(store raft.LogStore) error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		// The group is gone (process shutdown); degrade to a direct sync
-		// so no shard ever loses its durability barrier.
-		return store.Sync()
-	}
-	g.requests++
-	b := g.pending[store]
-	if b == nil {
-		b = &syncBatch{store: store, done: make(chan struct{})}
-		g.pending[store] = b
-		g.queue = append(g.queue, b)
-		select {
-		case g.wake <- struct{}{}:
-		default:
-		}
-	}
-	g.mu.Unlock()
-	<-b.done
-	return b.err
+	g.syncs.Add(1)
+	return store.Sync()
 }
 
-// run is the worker: it drains the batch queue, issuing one physical
-// sync per batch. Batches are removed from pending before their sync
-// starts, so a request arriving mid-sync gets a fresh batch (its barrier
-// must begin after the request).
-func (g *SyncGroup) run() {
-	defer g.wg.Done()
-	for {
-		select {
-		case <-g.done:
-			g.drain()
-			return
-		case <-g.wake:
-			g.drain()
-		}
-	}
-}
-
-func (g *SyncGroup) drain() {
-	for {
-		g.mu.Lock()
-		if len(g.queue) == 0 {
-			g.mu.Unlock()
-			return
-		}
-		batch := g.queue
-		g.queue = nil
-		for _, b := range batch {
-			delete(g.pending, b.store)
-		}
-		g.syncs += int64(len(batch))
-		g.mu.Unlock()
-		for _, b := range batch {
-			b.err = b.store.Sync()
-			close(b.done)
-		}
-	}
-}
-
-// Stats snapshots the coalescing counters.
+// Stats snapshots the counters.
 func (g *SyncGroup) Stats() SyncGroupStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return SyncGroupStats{Requests: g.requests, Syncs: g.syncs}
+	n := g.syncs.Load()
+	return SyncGroupStats{Requests: n, Syncs: n}
 }
 
-// Close stops the worker after it drains outstanding batches. Later Sync
-// calls fall back to direct store syncs.
-func (g *SyncGroup) Close() {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.closed = true
-	g.mu.Unlock()
-	close(g.done)
-	g.wg.Wait()
-}
-
-// Wrap returns store with Sync redirected through the group. The wrapper
-// forwards the optional fast paths raft probes for (sequential scans,
-// snapshot anchors), following the logstore wrapper idiom — hiding them
-// would silently slow recovery and break the snapshot boundary.
+// Wrap returns store with Sync counted by the group. The wrapper forwards
+// the optional fast paths raft probes for (sequential scans, snapshot
+// anchors) through the logstore helpers every Store wrapper uses.
 func (g *SyncGroup) Wrap(store raft.LogStore) raft.LogStore {
-	return &groupedStore{inner: store, g: g}
+	return &groupedStore{LogStore: store, g: g}
 }
 
+// groupedStore intercepts only Sync; the embedded store serves the rest.
 type groupedStore struct {
-	inner raft.LogStore
-	g     *SyncGroup
+	raft.LogStore
+	g *SyncGroup
 }
 
-func (s *groupedStore) Append(e *wire.LogEntry) error              { return s.inner.Append(e) }
-func (s *groupedStore) Entry(index uint64) (*wire.LogEntry, error) { return s.inner.Entry(index) }
-func (s *groupedStore) LastOpID() opid.OpID                        { return s.inner.LastOpID() }
-func (s *groupedStore) FirstIndex() uint64                         { return s.inner.FirstIndex() }
-func (s *groupedStore) TruncateAfter(index uint64) ([]*wire.LogEntry, error) {
-	return s.inner.TruncateAfter(index)
-}
+// Sync routes the durability barrier through the per-node group.
+func (s *groupedStore) Sync() error { return s.g.Sync(s.LogStore) }
 
-// Sync routes the durability barrier through the shared per-node group.
-func (s *groupedStore) Sync() error { return s.g.Sync(s.inner) }
+// SnapshotAnchor implements the optional interface raft probes for.
+func (s *groupedStore) SnapshotAnchor() opid.OpID { return logstore.SnapshotAnchor(s.LogStore) }
 
-// SnapshotAnchor forwards the inner store's snapshot anchor when it has
-// one, so wrapping does not hide the snapshot boundary from raft.
-func (s *groupedStore) SnapshotAnchor() opid.OpID {
-	if a, ok := s.inner.(interface{ SnapshotAnchor() opid.OpID }); ok {
-		return a.SnapshotAnchor()
-	}
-	return opid.Zero
-}
-
-// ScanFrom forwards to the inner store's sequential scan when it has one,
-// falling back to per-entry reads otherwise.
+// ScanFrom implements the optional interface raft probes for.
 func (s *groupedStore) ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error {
-	type scanner interface {
-		ScanFrom(from uint64, fn func(*wire.LogEntry) bool) error
-	}
-	if sc, ok := s.inner.(scanner); ok {
-		return sc.ScanFrom(from, fn)
-	}
-	last := s.inner.LastOpID().Index
-	for idx := from; idx != 0 && idx <= last; idx++ {
-		e, err := s.inner.Entry(idx)
-		if err != nil {
-			return err
-		}
-		if !fn(e) {
-			return nil
-		}
-	}
-	return nil
+	return logstore.ScanFrom(s.LogStore, from, fn)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"myraft/internal/clock"
 	"myraft/internal/opid"
 	"myraft/internal/transport"
 	"myraft/internal/wire"
@@ -135,6 +136,10 @@ type cluster struct {
 	logs    map[wire.NodeID]*memLog
 	cbs     map[wire.NodeID]*recordingCallbacks
 	nodeCfg func(id wire.NodeID, region wire.Region) Config
+	// clk and port are what each node runs on: nil means the real clock
+	// and the network endpoint itself (newClusterOn sets them).
+	clk  clock.Clock
+	port func(*transport.Endpoint) Transport
 }
 
 const testHeartbeat = 10 * time.Millisecond
@@ -150,6 +155,14 @@ func defaultNodeCfg(id wire.NodeID, region wire.Region) Config {
 // newCluster builds and starts nodes for every member of cfg.
 func newCluster(t *testing.T, cfg wire.Config, mk func(id wire.NodeID, region wire.Region) Config) *cluster {
 	t.Helper()
+	return newClusterOn(t, cfg, mk, nil, nil)
+}
+
+// newClusterOn is newCluster with every node on clk (nil: the real
+// clock) and talking through port(endpoint) (nil: the endpoint itself).
+func newClusterOn(t *testing.T, cfg wire.Config, mk func(id wire.NodeID, region wire.Region) Config,
+	clk clock.Clock, port func(*transport.Endpoint) Transport) *cluster {
+	t.Helper()
 	if mk == nil {
 		mk = defaultNodeCfg
 	}
@@ -164,6 +177,8 @@ func newCluster(t *testing.T, cfg wire.Config, mk func(id wire.NodeID, region wi
 		logs:    make(map[wire.NodeID]*memLog),
 		cbs:     make(map[wire.NodeID]*recordingCallbacks),
 		nodeCfg: mk,
+		clk:     clk,
+		port:    port,
 	}
 	for _, m := range cfg.Members {
 		c.startNode(m.ID, m.Region)
@@ -175,9 +190,13 @@ func newCluster(t *testing.T, cfg wire.Config, mk func(id wire.NodeID, region wi
 func (c *cluster) startNode(id wire.NodeID, region wire.Region) *Node {
 	c.t.Helper()
 	ep := c.net.Register(id, region)
+	var tr Transport = ep
+	if c.port != nil {
+		tr = c.port(ep)
+	}
 	log := &memLog{}
 	cb := &recordingCallbacks{}
-	n, err := NewNode(c.nodeCfg(id, region), log, cb, ep, nil)
+	n, err := NewNode(c.nodeCfg(id, region), log, cb, tr, c.clk)
 	if err != nil {
 		c.t.Fatal(err)
 	}

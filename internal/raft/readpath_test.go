@@ -3,11 +3,14 @@ package raft
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"myraft/internal/clock"
 	"myraft/internal/gtid"
+	"myraft/internal/transport"
+	"myraft/internal/wire"
 )
 
 // --- leaseTracker unit tests (fake clock; the clock-skew satellite) ---
@@ -104,6 +107,70 @@ func TestReadIndexOnLeader(t *testing.T) {
 	// A follower must refuse: ReadIndex is a leader protocol.
 	if _, err := c.nodes["n1"].ReadIndex(ctx); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("follower ReadIndex err = %v, want ErrNotLeader", err)
+	}
+}
+
+// heartbeatSpy counts the empty AppendEntries a node hands its shard
+// port; Recv and Flush pass through to the embedded port.
+type heartbeatSpy struct {
+	*transport.ShardPort
+	sent atomic.Int64
+}
+
+func (s *heartbeatSpy) Send(to wire.NodeID, msg wire.Message) error {
+	if req, ok := msg.(*wire.AppendEntriesReq); ok && len(req.Entries) == 0 {
+		s.sent.Add(1)
+	}
+	return s.ShardPort.Send(to, msg)
+}
+
+// Over a coalescing shard port, a ReadIndex round must leave the node's
+// heartbeat buffer at once, not on the next flush tick, while a plain
+// keep-alive stays buffered. Nodes and demuxes share one fake clock the
+// test only ever advances by one heartbeat interval, far short of the
+// demuxes' flush interval, so no flush ticker can fire: every flush seen
+// is one raft asked for.
+func TestReadIndexFlushesCoalescedHeartbeats(t *testing.T) {
+	fake := clock.NewFake()
+	demuxes := make(map[wire.NodeID]*transport.Demux)
+	spies := make(map[wire.NodeID]*heartbeatSpy)
+	c := newClusterOn(t, flatConfig(3), nil, fake, func(ep *transport.Endpoint) Transport {
+		d := transport.NewDemux(ep, fake, transport.DemuxConfig{FlushInterval: time.Hour})
+		t.Cleanup(d.Close)
+		demuxes[ep.ID()] = d
+		spies[ep.ID()] = &heartbeatSpy{ShardPort: d.Shard(0)}
+		return spies[ep.ID()]
+	})
+	n0 := c.elect("n0")
+	d0, spy := demuxes["n0"], spies["n0"]
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	before := d0.Stats()
+	if _, err := n0.ReadIndex(ctx); err != nil {
+		t.Fatalf("ReadIndex with the flush ticker silent: %v", err)
+	}
+	afterRead := d0.Stats()
+	for _, peer := range []wire.NodeID{"n1", "n2"} {
+		if got := afterRead.CoalescedFlushes[peer] - before.CoalescedFlushes[peer]; got != 1 {
+			t.Fatalf("read round sent %d coalesced messages to %s, want exactly 1", got, peer)
+		}
+	}
+
+	// The leader's heartbeat tick broadcasts a keep-alive nobody is
+	// waiting on. Once both sends are seen, Status (which runs on the
+	// event loop, so after that broadcast returned) orders the check.
+	sent := spy.sent.Load()
+	fake.Advance(testHeartbeat)
+	c.waitCondition("keep-alive broadcast", func() bool { return spy.sent.Load() >= sent+2 })
+	n0.Status()
+	if got := d0.Stats(); got.CoalescedItems != afterRead.CoalescedItems {
+		t.Fatalf("a keep-alive with no reader waiting was flushed: %+v -> %+v", afterRead, got)
+	}
+	d0.Flush()
+	if got := d0.Stats(); got.CoalescedItems != afterRead.CoalescedItems+2 {
+		t.Fatalf("keep-alive was not sitting in the buffer: %d items flushed, want 2",
+			got.CoalescedItems-afterRead.CoalescedItems)
 	}
 }
 

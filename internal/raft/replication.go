@@ -13,9 +13,18 @@ import (
 // and every broadcast opens a leadership-confirmation round (lease.go).
 func (n *Node) broadcastAppend() {
 	n.beginReadRound()
+	readersWaiting := n.readRoundArmed
 	n.readRoundArmed = false
 	for id := range n.peers {
 		n.sendAppend(id)
+	}
+	if readersWaiting {
+		// ReadIndex callers are parked on this round. A transport that
+		// buffers heartbeats (transport.ShardPort coalesces them per node)
+		// must ship them now, not on its next tick.
+		if f, ok := n.tr.(interface{ Flush() }); ok {
+			f.Flush()
+		}
 	}
 	// A single-voter quorum is satisfied by the leader alone; settle now.
 	n.advanceReadRounds()

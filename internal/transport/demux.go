@@ -14,10 +14,12 @@ package transport
 // wire.CoalescedHeartbeat per peer per flush interval, carrying every
 // buffered shard's heartbeat. O(shards × peers) heartbeat messages become
 // O(peers). Entries-bearing appends, votes, snapshot chunks and responses
-// bypass the buffer and cross immediately.
+// bypass the buffer and cross immediately, and a heartbeat round that
+// ReadIndex callers are waiting on flushes the buffer at once
+// (ShardPort.Flush).
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -249,10 +251,17 @@ func (d *Demux) flushLoop() {
 	}
 }
 
-// Flush ships all buffered per-shard heartbeats now. Exported for tests
-// that want deterministic flush points.
+// Flush ships all buffered per-shard heartbeats now: still one
+// CoalescedHeartbeat per peer carrying every buffered shard. The ticker
+// calls it once per interval; a shard whose broadcast opened a ReadIndex
+// round calls it at once through its port, and tests use it for
+// deterministic flush points.
 func (d *Demux) Flush() {
 	d.mu.Lock()
+	if len(d.hbBuf) == 0 {
+		d.mu.Unlock()
+		return
+	}
 	buf := d.hbBuf
 	d.hbBuf = make(map[wire.NodeID]map[wire.ShardID][]byte)
 	peers := make([]wire.NodeID, 0, len(buf))
@@ -260,7 +269,7 @@ func (d *Demux) Flush() {
 		peers = append(peers, to)
 	}
 	d.mu.Unlock()
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 
 	for _, to := range peers {
 		byShard := buf[to]
@@ -268,7 +277,7 @@ func (d *Demux) Flush() {
 		for s := range byShard {
 			shards = append(shards, s)
 		}
-		sort.Slice(shards, func(i, j int) bool { return shards[i] < shards[j] })
+		slices.Sort(shards)
 		msg := &wire.CoalescedHeartbeat{Items: make([]wire.ShardHeartbeat, 0, len(shards))}
 		for _, s := range shards {
 			msg.Items = append(msg.Items, wire.ShardHeartbeat{Shard: s, Req: byShard[s]})
@@ -296,6 +305,16 @@ func (p *ShardPort) Shard() wire.ShardID { return p.shard }
 
 // Recv returns the shard's delivery channel.
 func (p *ShardPort) Recv() <-chan Envelope { return p.inbox }
+
+// Flush ships the node's buffered heartbeats now (Demux.Flush). Raft
+// probes its transport for it when a broadcast opened a ReadIndex round:
+// readers are parked on that round's quorum, so it must not sit in the
+// buffer until the next FlushInterval tick. It runs on the caller's raft
+// event loop and cannot block it: the endpoint under a Demux is the
+// in-process Network, whose Send only queues onto a link (and the TCP
+// transport's Send likewise only queues a frame for its per-peer sender
+// goroutine, dropping when that queue is full).
+func (p *ShardPort) Flush() { p.d.Flush() }
 
 // Send transmits one shard-framed message. Pure heartbeats (empty
 // AppendEntriesReq, no proxy route) are buffered for the next coalesced

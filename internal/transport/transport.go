@@ -14,6 +14,7 @@ package transport
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -224,18 +225,18 @@ type link struct {
 // Send serializes and transmits a message. Encoding errors are returned;
 // network-level losses (partitions, down nodes, overflow) are silent, as
 // on a real network.
+//
+// Ownership: Send captures msg before it returns, so a sender may reuse
+// the message and every buffer it points at afterwards — with one
+// exception. The shard frames (*wire.ShardEnvelope,
+// *wire.CoalescedHeartbeat) carry bytes their sender marshalled for this
+// one send; Send takes those byte slices over as they are, and the sender
+// must not write to them again.
 func (n *Network) Send(from, to wire.NodeID, msg wire.Message) error {
-	data, err := wire.Marshal(msg)
+	copyMsg, size, err := capture(msg)
 	if err != nil {
-		return fmt.Errorf("transport: %w", err)
+		return err
 	}
-	// Decode a private copy so sender and receiver never share memory,
-	// exactly as a real network stack would behave.
-	copyMsg, err := wire.Unmarshal(data)
-	if err != nil {
-		return fmt.Errorf("transport: self-check: %w", err)
-	}
-	size := len(data)
 
 	n.mu.Lock()
 	if n.closed {
@@ -293,6 +294,31 @@ func (n *Network) Send(from, to wire.NodeID, msg wire.Message) error {
 	}
 	n.mu.Unlock()
 	return nil
+}
+
+// capture returns the receiver's private copy of msg and its encoded
+// size. Ordinary messages go through the codec, so sender and receiver
+// never share memory, exactly as on a real network. A shard frame's
+// payload is already wire bytes that only this send holds: it gets a new
+// frame around the same bytes and the size the codec would have
+// produced, not a second encode and decode of every sharded message.
+func capture(msg wire.Message) (wire.Message, int, error) {
+	switch m := msg.(type) {
+	case *wire.ShardEnvelope:
+		cp := *m
+		return &cp, m.EncodedSize(), nil
+	case *wire.CoalescedHeartbeat:
+		return &wire.CoalescedHeartbeat{Items: slices.Clone(m.Items)}, m.EncodedSize(), nil
+	}
+	data, err := wire.Marshal(msg)
+	if err != nil {
+		return nil, 0, fmt.Errorf("transport: %w", err)
+	}
+	cp, err := wire.Unmarshal(data)
+	if err != nil {
+		return nil, 0, fmt.Errorf("transport: self-check: %w", err)
+	}
+	return cp, len(data), nil
 }
 
 // latencyLocked computes the one-way latency for a send, with jitter.

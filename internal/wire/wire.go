@@ -285,6 +285,11 @@ type ShardEnvelope struct {
 
 func (*ShardEnvelope) Type() MsgType { return MsgShardEnvelope }
 
+// EncodedSize is len(Marshal(m)) without encoding: tag, shard, and the
+// length-prefixed inner bytes. The in-process network meters shard
+// frames with it instead of serializing Inner a second time.
+func (m *ShardEnvelope) EncodedSize() int { return 1 + 4 + 4 + len(m.Inner) }
+
 // ShardHeartbeat is one shard's piggybacked heartbeat inside a
 // CoalescedHeartbeat: the Marshal-encoded empty AppendEntriesReq that the
 // shard's leader would have sent on its own timer.
@@ -302,6 +307,16 @@ type CoalescedHeartbeat struct {
 }
 
 func (*CoalescedHeartbeat) Type() MsgType { return MsgCoalescedHeartbeat }
+
+// EncodedSize is len(Marshal(m)) without encoding: tag, item count, and
+// per item its shard plus length-prefixed request bytes.
+func (m *CoalescedHeartbeat) EncodedSize() int {
+	n := 1 + 4
+	for _, it := range m.Items {
+		n += 4 + 4 + len(it.Req)
+	}
+	return n
+}
 
 // --- binary codec ---
 

@@ -372,6 +372,15 @@ func TestShardEnvelopeRoundTrip(t *testing.T) {
 	if innerMsg.(*RequestVoteReq).Candidate != "mysql-1" {
 		t.Fatalf("inner message corrupted: %+v", innerMsg)
 	}
+	for _, env := range []*ShardEnvelope{m, {Shard: 1}} {
+		data, err := Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.EncodedSize() != len(data) {
+			t.Fatalf("EncodedSize = %d, Marshal wrote %d bytes", env.EncodedSize(), len(data))
+		}
+	}
 }
 
 func TestCoalescedHeartbeatRoundTrip(t *testing.T) {
@@ -395,6 +404,15 @@ func TestCoalescedHeartbeatRoundTrip(t *testing.T) {
 	empty := roundTrip(t, &CoalescedHeartbeat{}).(*CoalescedHeartbeat)
 	if len(empty.Items) != 0 {
 		t.Fatalf("empty coalesced heartbeat gained items: %+v", empty)
+	}
+	for _, hb := range []*CoalescedHeartbeat{m, {}} {
+		data, err := Marshal(hb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hb.EncodedSize() != len(data) {
+			t.Fatalf("EncodedSize = %d, Marshal wrote %d bytes", hb.EncodedSize(), len(data))
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ parallelapply	y	writeset-scheduled replica applier slice
 obs	y	write-path tracing + metrics export slice
 pipeline	y	pipelined group-commit slice
 bench	y	durability pipeline bench smoke
+repobench	y	bench/ module vet + tests and a 1 s-per-run smoke of the repo benchmark
 chaos	n	fixed-seed chaos smoke (incl. shard split under load)"
 
 # stage_spec maps a test stage to its rows, one per line:
@@ -157,14 +158,21 @@ stage_build() {
 	go build ./...
 }
 
+# bench/ is its own module (replace myraft => ../), so the root
+# `go vet ./...` and `go test ./...` never compile it. This stage does,
+# and runs every workload once, so a change to an API the benchmark
+# imports fails here rather than in the benchmark driver.
+stage_repobench() {
+	echo "== repobench: cd bench && go vet ./... && go test ./..."
+	(cd bench && go vet ./... && go test ./...)
+	echo "== repobench: bash bench/run.sh -smoke"
+	bash bench/run.sh -smoke
+}
+
 run_stage() {
 	case "$1" in
-	lint)
-		stage_lint
-		return
-		;;
-	build)
-		stage_build
+	lint | build | repobench)
+		"stage_$1"
 		return
 		;;
 	esac
