@@ -22,7 +22,8 @@ test:
 race:
 	./scripts/check.sh race
 
-# Fixed-seed chaos smoke; the full randomized campaign runs as part of
+# Fixed-seed chaos table (TestChaosSmoke: paper ring, 4 shards, split
+# under load); the full randomized campaign (TestChaos) runs as part of
 # `make test` / `make check` via `go test ./internal/chaos`.
 chaos:
 	./scripts/check.sh chaos

@@ -20,6 +20,7 @@ import (
 
 	"myraft/internal/cluster"
 	"myraft/internal/multiraft"
+	"myraft/internal/mysql"
 	"myraft/internal/opid"
 	"myraft/internal/quorumfixer"
 	"myraft/internal/raft"
@@ -57,7 +58,7 @@ type MemberStatus struct {
 	BinlogBytes int64 `json:"binlog_bytes,omitempty"`
 	// Snapshots reports snapshot-transfer activity (leader-side chunks
 	// and bytes sent, follower-side installs) when any occurred.
-	Snapshots *SnapshotStatus `json:"snapshots,omitempty"`
+	Snapshots *raft.SnapshotStats `json:"snapshots,omitempty"`
 	// Durability reports the async log writer's pipeline state: how far
 	// fsync has progressed, how it is batching, and how far acks lag
 	// appends (§3.4 group commit observability).
@@ -65,52 +66,11 @@ type MemberStatus struct {
 	// Apply reports the replica applier's progress and parallel-apply
 	// scheduling outcomes (§3.5): apply lag, worker occupancy, and how
 	// often writeset tracking fell back to serial ordering.
-	Apply *ApplyStatus `json:"apply,omitempty"`
+	Apply *mysql.ApplyStatus `json:"apply,omitempty"`
 	// Pipeline reports the primary commit pipeline's overlap state
 	// (§3.4): in-flight groups, group-size distribution, per-stage busy
 	// time and engine sync coalescing.
-	Pipeline *PipelineStatus `json:"pipeline,omitempty"`
-}
-
-// PipelineStatus is the /status view of one member's primary commit
-// pipeline (mysql.PipelineStatus).
-type PipelineStatus struct {
-	Depth           int   `json:"depth"`
-	InFlight        int   `json:"in_flight"`
-	QueueLen        int   `json:"queue_len,omitempty"`
-	GroupsProposed  int64 `json:"groups_proposed,omitempty"`
-	TxnsCommitted   int64 `json:"txns_committed,omitempty"`
-	TxnsAborted     int64 `json:"txns_aborted,omitempty"`
-	GroupSizeMean   int64 `json:"group_size_mean,omitempty"`
-	GroupSizeP95    int64 `json:"group_size_p95,omitempty"`
-	GroupSizeMax    int64 `json:"group_size_max,omitempty"`
-	FlushBusyNs     int64 `json:"flush_busy_ns,omitempty"`
-	QuorumBusyNs    int64 `json:"quorum_busy_ns,omitempty"`
-	EngineBusyNs    int64 `json:"engine_busy_ns,omitempty"`
-	SyncsCoalesced  int64 `json:"syncs_coalesced,omitempty"`
-	EngineSyncs     int64 `json:"engine_syncs,omitempty"`
-	EngineNoopSyncs int64 `json:"engine_noop_syncs,omitempty"`
-}
-
-// ApplyStatus is the /status view of one member's replica applier
-// (mysql.ApplyStatus).
-type ApplyStatus struct {
-	Running     bool   `json:"running"`
-	Workers     int    `json:"workers"`
-	Position    uint64 `json:"position"`
-	CommitIndex uint64 `json:"commit_index"`
-	Lag         uint64 `json:"lag"`
-	BusyWorkers int    `json:"busy_workers,omitempty"`
-	AppliedTxns int64  `json:"applied_txns,omitempty"`
-	// TrackedTxns / ConflictFallbacks / FallbackRate describe writeset
-	// dependency tracking: how many transactions were scheduled through
-	// the tracker and what fraction forced a serial barrier.
-	TrackedTxns       int64   `json:"tracked_txns,omitempty"`
-	ConflictFallbacks int64   `json:"conflict_fallbacks,omitempty"`
-	FallbackRate      float64 `json:"fallback_rate,omitempty"`
-	ParallelBatches   int64   `json:"parallel_batches,omitempty"`
-	SerialBatches     int64   `json:"serial_batches,omitempty"`
-	LastError         string  `json:"last_error,omitempty"`
+	Pipeline *mysql.PipelineStatus `json:"pipeline,omitempty"`
 }
 
 // DurabilityStatus is the /status view of one member's async log writer.
@@ -135,15 +95,6 @@ type DurabilityStatus struct {
 type FileEntry struct {
 	Name string `json:"name"`
 	Size int64  `json:"size"`
-}
-
-// SnapshotStatus is the /status view of one member's snapshot-transfer
-// counters (raft.SnapshotStats).
-type SnapshotStatus struct {
-	Installs   int64 `json:"installs,omitempty"`
-	ChunksSent int64 `json:"chunks_sent,omitempty"`
-	BytesSent  int64 `json:"bytes_sent,omitempty"`
-	Failures   int64 `json:"failures,omitempty"`
 }
 
 // ClusterStatus is the GET /status payload: one shard ring's state,
@@ -293,12 +244,7 @@ func (s *Server) clusterStatus(c *cluster.Cluster, shard wire.ShardID) ClusterSt
 				ms.SnapshotAnchor = ns.SnapshotAnchor.String()
 			}
 			if ss := node.SnapshotStats(); ss != (raft.SnapshotStats{}) {
-				ms.Snapshots = &SnapshotStatus{
-					Installs:   ss.Installs,
-					ChunksSent: ss.ChunksSent,
-					BytesSent:  ss.BytesSent,
-					Failures:   ss.Failures,
-				}
+				ms.Snapshots = &ss
 			}
 			if ns.Role == raft.RoleLeader {
 				ms.LeaseHeld = ns.LeaseHeld
@@ -331,40 +277,8 @@ func (s *Server) clusterStatus(c *cluster.Cluster, shard wire.ShardID) ClusterSt
 			ro := srv.IsReadOnly()
 			ms.ReadOnly = &ro
 			ms.GTIDs = srv.GTIDExecuted().String()
-			as := srv.ApplyStatus()
-			ms.Apply = &ApplyStatus{
-				Running:           as.Running,
-				Workers:           as.Workers,
-				Position:          as.Position,
-				CommitIndex:       as.CommitIndex,
-				Lag:               as.Lag,
-				BusyWorkers:       as.BusyWorkers,
-				AppliedTxns:       as.AppliedTxns,
-				TrackedTxns:       as.TrackedTxns,
-				ConflictFallbacks: as.ConflictFallbacks,
-				FallbackRate:      as.FallbackRate,
-				ParallelBatches:   as.ParallelBatches,
-				SerialBatches:     as.SerialBatches,
-				LastError:         as.LastError,
-			}
-			ps := srv.PipelineStatus()
-			ms.Pipeline = &PipelineStatus{
-				Depth:           ps.Depth,
-				InFlight:        ps.InFlight,
-				QueueLen:        ps.QueueLen,
-				GroupsProposed:  ps.GroupsProposed,
-				TxnsCommitted:   ps.TxnsCommitted,
-				TxnsAborted:     ps.TxnsAborted,
-				GroupSizeMean:   ps.GroupSizeMean,
-				GroupSizeP95:    ps.GroupSizeP95,
-				GroupSizeMax:    ps.GroupSizeMax,
-				FlushBusyNs:     ps.FlushBusyNs,
-				QuorumBusyNs:    ps.QuorumBusyNs,
-				EngineBusyNs:    ps.EngineBusyNs,
-				SyncsCoalesced:  ps.SyncsCoalesced,
-				EngineSyncs:     ps.EngineSyncs,
-				EngineNoopSyncs: ps.EngineNoopSyncs,
-			}
+			as, ps := srv.ApplyStatus(), srv.PipelineStatus()
+			ms.Apply, ms.Pipeline = &as, &ps
 			for _, f := range srv.BinlogFiles() {
 				ms.BinlogFiles = append(ms.BinlogFiles, FileEntry{Name: f.Name, Size: f.Size})
 				ms.BinlogBytes += f.Size

@@ -1,26 +1,32 @@
-// Package chaos is a deterministic nemesis harness for MyRaft
-// replicasets: it derives a randomized fault schedule from a single
-// seed, drives a full cluster (MySQL voters, logtailers, the simulated
-// network) through it while a read/write workload runs, and then
-// machine-checks the safety invariants the paper argues for — election
-// safety, log matching, durability of acknowledged writes across
-// crashes, GTID-set monotonicity on the MySQL substrate, read safety of
-// the linearizable/lease read path, and purge catch-up (a member
-// restarted after the purge floor passed it converges back to the
-// cluster GTID set through snapshot install).
+// Package chaos is the deterministic nemesis harness for the MyRaft
+// runtime: it boots a multiraft.Runtime (one ring is Shards: 1), plays a
+// schedule of node-level faults against it while routed writers and
+// readers run, heals everything, and then machine-checks every ring
+// against the seven safety invariants the paper argues for — election
+// safety, log matching, durability of acknowledged writes, GTID-set
+// monotonicity, read safety of the linearizable/lease read path, purge
+// catch-up, and parallel-apply equivalence — plus cross-shard isolation:
+// no key is readable through a ring that does not own it, and the shared
+// demux never delivered a frame to a shard a node does not host.
 //
-// Everything randomized — the schedule, each member's transport fault
-// RNG, the network's jitter — is derived from Config.Seed, so a failing
-// run is reproduced by re-running the same seed. The schedule itself is
-// a pure function of the Config (GenerateSchedule); only message-level
-// outcomes (which packets a drop rule eats) depend on goroutine timing.
+// Everything randomized — the generated schedule, each member's
+// transport fault RNG, the network's jitter — is derived from
+// Config.Seed, so a failing run is reproduced by re-running the same
+// seed. The schedule itself is a pure function of the Config
+// (GenerateSchedule); only message-level outcomes (which packets a drop
+// rule eats) depend on goroutine timing.
 //
-// Faults are injected through composition points the production stack
-// already exposes: transport.Fault wraps each member's endpoint
-// (drop/delay/duplicate/block), logstore.Faulty wraps each log store
-// (fsync stalls and errors), clock.Skewed wraps each member's clock
-// (lease-path skew), and the network applies symmetric and asymmetric
-// partitions. Nothing in the consensus core knows it is being tested.
+// Faults are node-level, because a process hosts every shard's member on
+// that node: a crash takes all its rings down, a partition cuts every
+// shard's traffic on the link, and a message, fsync or clock fault is
+// applied to the wrapper of every (node, shard) member the node hosts.
+// They are injected through composition points the production stack
+// already exposes: transport.Fault wraps each shard port
+// (drop/delay/duplicate), logstore.Faulty wraps each log store (fsync
+// stalls and errors), clock.Skewed wraps each member's clock (lease-path
+// skew), the network applies symmetric and asymmetric partitions, and an
+// online shard split is one more scheduled action. Nothing in the
+// consensus core knows it is being tested.
 package chaos
 
 import (
@@ -28,88 +34,77 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"myraft/internal/binlog"
 	"myraft/internal/clock"
 	"myraft/internal/cluster"
 	"myraft/internal/gtid"
 	"myraft/internal/logstore"
+	"myraft/internal/multiraft"
 	"myraft/internal/raft"
 	"myraft/internal/readpath"
-	"myraft/internal/storage"
 	"myraft/internal/transport"
 	"myraft/internal/wire"
 )
 
-// Config parameterizes one chaos run. The zero value (plus a Seed) is a
-// sensible smoke-test configuration.
+// The workload and timing of a run are fixed: no test, CI job or flag
+// ever set them, so they are constants rather than knobs.
+const (
+	// faultWindow is how long the schedule plays.
+	faultWindow = 1200 * time.Millisecond
+	// writerCount writers each own a disjoint slice of keyCount keys and
+	// write strictly increasing sequence numbers to them; readerCount
+	// readers alternate linearizable and lease reads against those keys.
+	writerCount = 4
+	readerCount = 2
+	keyCount    = 48
+	// maxClockSkew is the raft-config skew bound; injected offsets stay
+	// within ±maxClockSkew/2.
+	maxClockSkew = 4 * time.Millisecond
+	// convergeTimeout bounds each post-heal wait (convergence, settling).
+	convergeTimeout = 30 * time.Second
+	opTimeout       = 500 * time.Millisecond
+)
+
+// Config parameterizes one chaos run. The zero value (plus a Seed) is
+// the single-ring paper topology.
 type Config struct {
 	// Seed derives every random choice of the run.
 	Seed int64
-	// FollowerRegions is the PaperTopology parameter (default 1: two
-	// regions, two MySQL voters, four logtailers).
-	FollowerRegions int
-	// Duration is the fault-injection window (default 1.2s).
-	Duration time.Duration
-	// Writers and Readers size the workload (default 2 each). Each writer
-	// owns one key and writes strictly increasing sequence numbers to it;
-	// readers alternate linearizable and lease reads against those keys.
-	Writers int
-	Readers int
-	// MaxDown caps concurrently-crashed members (default 2, which keeps a
-	// data-commit quorum of the six-voter paper topology alive).
-	MaxDown int
-	// MaxClockSkew is the raft-config skew bound; injected offsets stay
-	// within ±MaxClockSkew/2 (default 4ms).
-	MaxClockSkew time.Duration
-	// ConvergeTimeout bounds the post-heal convergence wait (default 30s).
-	ConvergeTimeout time.Duration
-	// ApplyWorkers sets every MySQL member's replica-apply concurrency
-	// (cluster.Options.ApplyWorkers): 0 keeps the mysql default, 1 forces
-	// serial apply. The parallel-apply equivalence checker judges the
-	// result either way.
-	ApplyWorkers int
-	// CommitPipelineDepth sets every MySQL member's primary commit
-	// pipeline depth (cluster.Options.CommitPipelineDepth): 0 keeps the
-	// mysql default, 1 forces the serial pipeline. The acked-write
-	// durability and gap-free engine sequence checkers judge the result
-	// either way.
-	CommitPipelineDepth int
+	// Shards is the number of rings the runtime starts with (default 1).
+	Shards int
+	// Specs is the node set every ring stretches across (default
+	// cluster.PaperTopology(1, 0): two regions, two MySQL voters, four
+	// logtailers).
+	Specs []cluster.MemberSpec
 	// Logf, when set, receives a trace of applied actions and checker
 	// progress (testing.T.Logf fits).
 	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
-	if c.FollowerRegions == 0 {
-		c.FollowerRegions = 1
+	if c.Shards == 0 {
+		c.Shards = 1
 	}
-	if c.Duration == 0 {
-		c.Duration = 1200 * time.Millisecond
-	}
-	if c.Writers == 0 {
-		c.Writers = 2
-	}
-	if c.Readers == 0 {
-		c.Readers = 2
-	}
-	if c.MaxDown == 0 {
-		c.MaxDown = 2
-	}
-	if c.MaxClockSkew == 0 {
-		c.MaxClockSkew = 4 * time.Millisecond
-	}
-	if c.ConvergeTimeout == 0 {
-		c.ConvergeTimeout = 30 * time.Second
+	if c.Specs == nil {
+		c.Specs = cluster.PaperTopology(1, 0)
 	}
 	return c
 }
 
-func (c Config) maxClockSkew() time.Duration { return c.withDefaults().MaxClockSkew }
+// maxDown caps concurrently-crashed nodes at what keeps a majority of
+// voters alive on every ring (logtailers always vote).
+func (c Config) maxDown() int {
+	voters := 0
+	for _, s := range c.withDefaults().Specs {
+		if s.Voter || s.Kind == cluster.KindLogtailer {
+			voters++
+		}
+	}
+	return (voters - 1) / 2
+}
 
 func (c Config) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -128,10 +123,33 @@ type Report struct {
 // Passed reports whether every invariant held.
 func (r *Report) Passed() bool { return len(r.Violations) == 0 }
 
-// ReproCommand returns the one-liner that re-runs this report's exact
-// fault schedule.
-func (r *Report) ReproCommand() string {
-	return fmt.Sprintf("go test -run TestChaos -chaos.seed=%d ./internal/chaos", r.Seed)
+// ReproCommand returns the one-liner that re-runs this report's Config:
+// test names the Go test (and table row) the Config belongs to, and
+// -chaos.seed pins the seed it runs with.
+func (r *Report) ReproCommand(test string) string {
+	return fmt.Sprintf("go test -run '%s' -chaos.seed=%d ./internal/chaos", test, r.Seed)
+}
+
+// wrappers tracks one kind of fault wrapper. live holds the instances of
+// each node's current life, one per shard the node hosts (a crash empties
+// the list, the restart and any later split refill it); all keeps every
+// instance ever made for the final heal and the stats rollup.
+type wrappers[T any] struct {
+	live map[wire.NodeID][]T
+	all  []T
+}
+
+func newWrappers[T any]() wrappers[T] { return wrappers[T]{live: make(map[wire.NodeID][]T)} }
+
+func (w *wrappers[T]) add(id wire.NodeID, v T) {
+	w.live[id] = append(w.live[id], v)
+	w.all = append(w.all, v)
+}
+
+// member names one ring's member on one node.
+type member struct {
+	shard wire.ShardID
+	node  wire.NodeID
 }
 
 // gtidState is the per-member, per-crash-epoch applied-GTID tracker of
@@ -142,52 +160,37 @@ type gtidState struct {
 	applied     *gtid.Set
 }
 
-// harness carries one run's mutable state: the latest fault wrapper per
-// member (re-created on every restart), crash epochs to invalidate
-// samples torn by a concurrent crash, leader claims per term, and the
-// per-key acknowledged-write floors the read-safety and durability
-// checkers compare against.
+// harness carries one run's mutable state: the fault wrappers, crash
+// epochs to invalidate samples torn by a concurrent crash, leader claims
+// per shard and term, and the per-key acknowledged-write floors the
+// read-safety and durability checkers compare against.
 type harness struct {
-	cfg   Config
-	stats *Stats
-	c     *cluster.Cluster
+	cfg    Config
+	stats  *Stats
+	rt     *multiraft.Runtime
+	client *multiraft.Client
+	keys   []string
 
 	mu         sync.Mutex
-	faults     map[wire.NodeID]*transport.Fault
-	faultsAll  []*transport.Fault
-	stores     map[wire.NodeID]*logstore.Faulty
-	storesAll  []*logstore.Faulty
-	skews      map[wire.NodeID]*clock.Skewed
-	skewsAll   []*clock.Skewed
+	faults     wrappers[*transport.Fault]
+	stores     wrappers[*logstore.Faulty]
+	skews      wrappers[*clock.Skewed]
 	epochs     map[wire.NodeID]int
-	leaders    map[uint64]map[wire.NodeID]bool
+	leaders    map[wire.ShardID]map[uint64]map[wire.NodeID]bool
 	acked      map[string]uint64
 	violations []string
-	// postPurgeRestarts records, per member, the cluster purge floor in
+	// readJudged is the set of shards on which at least one read was
+	// judged against a non-zero acknowledged floor.
+	readJudged map[wire.ShardID]bool
+	// postPurgeRestarts records, per member, the ring's purge floor in
 	// force when the member was last restarted — the population the
 	// purge catch-up invariant judges at the end of the run.
-	postPurgeRestarts map[wire.NodeID]uint64
+	postPurgeRestarts map[member]uint64
 
 	// GTID checker state, touched only by the sampler goroutine and the
 	// final checker (which runs after the sampler has stopped).
-	gtids       map[wire.NodeID]*gtidState
-	appliedEver *gtid.Set
-}
-
-func newHarness(cfg Config) *harness {
-	return &harness{
-		cfg:               cfg,
-		stats:             newStats(),
-		faults:            make(map[wire.NodeID]*transport.Fault),
-		stores:            make(map[wire.NodeID]*logstore.Faulty),
-		skews:             make(map[wire.NodeID]*clock.Skewed),
-		epochs:            make(map[wire.NodeID]int),
-		leaders:           make(map[uint64]map[wire.NodeID]bool),
-		acked:             make(map[string]uint64),
-		postPurgeRestarts: make(map[wire.NodeID]uint64),
-		gtids:             make(map[wire.NodeID]*gtidState),
-		appliedEver:       gtid.NewSet(),
-	}
+	gtids       map[member]*gtidState
+	appliedEver map[wire.ShardID]*gtid.Set
 }
 
 func (h *harness) violatef(format string, args ...any) {
@@ -196,24 +199,28 @@ func (h *harness) violatef(format string, args ...any) {
 	h.mu.Unlock()
 }
 
-// seedFor derives a per-member RNG seed from the master seed, stable
-// across restarts so a member's fault stream depends only on (seed, id).
+// checked records that one invariant was evaluated on one more shard.
+func (h *harness) checked(invariant string) {
+	h.mu.Lock()
+	h.stats.Checked[invariant]++
+	h.mu.Unlock()
+}
+
+// seedFor derives a per-node RNG seed from the master seed, stable
+// across restarts so a node's fault stream depends only on (seed, id).
 func (h *harness) seedFor(id wire.NodeID) int64 {
 	f := fnv.New64a()
 	f.Write([]byte(id))
 	return h.cfg.Seed ^ int64(f.Sum64())
 }
 
-// Cluster wiring: each hook registers the newest wrapper instance under
-// the member's ID (startMember re-invokes them on every restart, so
-// fault state starts each member life fresh) and keeps every instance
-// ever created for final healing and stats aggregation.
+// The wrap hooks run for every shard's member on every (re)start, so
+// fault state starts each member life fresh.
 
 func (h *harness) wrapTransport(id wire.NodeID, t transport.Transport) transport.Transport {
 	f := transport.NewFault(t, h.seedFor(id), nil)
 	h.mu.Lock()
-	h.faults[id] = f
-	h.faultsAll = append(h.faultsAll, f)
+	h.faults.add(id, f)
 	h.mu.Unlock()
 	return f
 }
@@ -221,8 +228,7 @@ func (h *harness) wrapTransport(id wire.NodeID, t transport.Transport) transport
 func (h *harness) wrapLogStore(id wire.NodeID, s raft.LogStore) raft.LogStore {
 	f := logstore.NewFaulty(s)
 	h.mu.Lock()
-	h.stores[id] = f
-	h.storesAll = append(h.storesAll, f)
+	h.stores.add(id, f)
 	h.mu.Unlock()
 	return f
 }
@@ -230,28 +236,16 @@ func (h *harness) wrapLogStore(id wire.NodeID, s raft.LogStore) raft.LogStore {
 func (h *harness) wrapClock(id wire.NodeID, c clock.Clock) clock.Clock {
 	sk := clock.NewSkewed(c)
 	h.mu.Lock()
-	h.skews[id] = sk
-	h.skewsAll = append(h.skewsAll, sk)
+	h.skews.add(id, sk)
 	h.mu.Unlock()
 	return sk
 }
 
-func (h *harness) fault(id wire.NodeID) *transport.Fault {
+// liveOf snapshots the wrappers of one node's current life.
+func liveOf[T any](h *harness, w *wrappers[T], id wire.NodeID) []T {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.faults[id]
-}
-
-func (h *harness) store(id wire.NodeID) *logstore.Faulty {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stores[id]
-}
-
-func (h *harness) skew(id wire.NodeID) *clock.Skewed {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.skews[id]
+	return append([]T(nil), w.live[id]...)
 }
 
 func (h *harness) epoch(id wire.NodeID) int {
@@ -268,34 +262,23 @@ func (h *harness) bumpEpoch(id wire.NodeID) {
 
 // onRoleChange runs synchronously on each node's event loop: record and
 // get out.
-func (h *harness) onRoleChange(rc raft.RoleChange) {
+func (h *harness) onRoleChange(shard wire.ShardID, rc raft.RoleChange) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	switch rc.Role {
 	case raft.RoleCandidate:
 		h.stats.Elections.Inc()
 	case raft.RoleLeader:
-		set := h.leaders[rc.Term]
-		if set == nil {
-			set = make(map[wire.NodeID]bool)
-			h.leaders[rc.Term] = set
+		terms := h.leaders[shard]
+		if terms == nil {
+			terms = make(map[uint64]map[wire.NodeID]bool)
+			h.leaders[shard] = terms
+		}
+		if terms[rc.Term] == nil {
+			terms[rc.Term] = make(map[wire.NodeID]bool)
 			h.stats.LeaderTerms.Inc()
 		}
-		set[rc.ID] = true
-	}
-}
-
-// ObserveRead implements readpath.Witness: count what the read path
-// served at each level while faults were active.
-func (h *harness) ObserveRead(_ string, res readpath.Result) {
-	switch res.Level {
-	case readpath.LevelLinearizable:
-		h.stats.LinReads.Inc()
-	case readpath.LevelLease:
-		h.stats.LeaseReads.Inc()
-		if res.FellBack {
-			h.stats.FallbackObs.Inc()
-		}
+		terms[rc.Term][rc.ID] = true
 	}
 }
 
@@ -313,56 +296,88 @@ func (h *harness) ack(key string, seq uint64) {
 	h.mu.Unlock()
 }
 
-// Run executes one full chaos run: boot the paper topology with every
-// fault wrapper installed, start the workload, play the seed-derived
-// schedule, heal and recover everything, and check the invariants. The
-// returned error reports harness-level failures (boot trouble); safety
-// verdicts are in Report.Violations.
-func Run(cfg Config) (*Report, error) {
+// boot builds the runtime with every fault wrapper installed, elects a
+// leader on every ring, and picks the key population: the same number of
+// keys for each starting shard, so every ring sees writes.
+func boot(cfg Config) (*harness, error) {
 	cfg = cfg.withDefaults()
-	h := newHarness(cfg)
-	sched := GenerateSchedule(cfg)
-
-	c, err := cluster.New(cluster.Options{
-		Name: fmt.Sprintf("rs-chaos-%d", cfg.Seed),
+	h := &harness{
+		cfg:               cfg,
+		stats:             newStats(),
+		faults:            newWrappers[*transport.Fault](),
+		stores:            newWrappers[*logstore.Faulty](),
+		skews:             newWrappers[*clock.Skewed](),
+		epochs:            make(map[wire.NodeID]int),
+		leaders:           make(map[wire.ShardID]map[uint64]map[wire.NodeID]bool),
+		acked:             make(map[string]uint64),
+		readJudged:        make(map[wire.ShardID]bool),
+		postPurgeRestarts: make(map[member]uint64),
+		gtids:             make(map[member]*gtidState),
+		appliedEver:       make(map[wire.ShardID]*gtid.Set),
+	}
+	rt, err := multiraft.New(multiraft.Options{
+		Shards: cfg.Shards,
+		Specs:  cfg.Specs,
+		Name:   fmt.Sprintf("chaos-%d", cfg.Seed),
 		Raft: raft.Config{
 			HeartbeatInterval: 10 * time.Millisecond,
-			MaxClockSkew:      cfg.MaxClockSkew,
-			OnRoleChange:      h.onRoleChange,
+			MaxClockSkew:      maxClockSkew,
 		},
 		NetConfig: transport.Config{
 			IntraRegion: 200 * time.Microsecond,
 			CrossRegion: 2 * time.Millisecond,
 		},
-		Seed:                cfg.Seed,
-		WrapTransport:       h.wrapTransport,
-		WrapLogStore:        h.wrapLogStore,
-		WrapClock:           h.wrapClock,
-		ReadWitness:         h,
-		ApplyWorkers:        cfg.ApplyWorkers,
-		CommitPipelineDepth: cfg.CommitPipelineDepth,
-	}, cluster.PaperTopology(cfg.FollowerRegions, 0))
+		Seed:          cfg.Seed,
+		OnRoleChange:  h.onRoleChange,
+		WrapTransport: h.wrapTransport,
+		WrapLogStore:  h.wrapLogStore,
+		WrapClock:     h.wrapClock,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("chaos: build cluster: %w", err)
+		return nil, fmt.Errorf("chaos: build runtime: %w", err)
 	}
-	defer c.Close()
-	h.c = c
+	h.rt = rt
+	h.client = rt.NewClient(0)
 
 	bctx, bcancel := context.WithTimeout(context.Background(), 15*time.Second)
-	err = c.Bootstrap(bctx, "mysql-0")
+	err = rt.Bootstrap(bctx)
 	bcancel()
 	if err != nil {
+		rt.Close()
 		return nil, fmt.Errorf("chaos: bootstrap: %w", err)
 	}
+
+	perShard := max(1, keyCount/cfg.Shards)
+	taken := make(map[wire.ShardID]int)
+	for i := 0; len(h.keys) < perShard*cfg.Shards; i++ {
+		k := fmt.Sprintf("chaos-k%d", i)
+		if s := rt.Router().ShardFor(k); taken[s] < perShard {
+			taken[s]++
+			h.keys = append(h.keys, k)
+		}
+	}
+	return h, nil
+}
+
+// Run executes one full chaos run: boot the runtime, start the workload,
+// play sched, heal and recover everything, and check every ring. The
+// returned error reports harness-level failures (boot trouble); safety
+// verdicts are in Report.Violations.
+func Run(cfg Config, sched Schedule) (*Report, error) {
+	h, err := boot(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer h.rt.Close()
 
 	// Workload + samplers run for the whole fault window.
 	wctx, wcancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Writers; i++ {
+	for i := 0; i < writerCount; i++ {
 		wg.Add(1)
 		go func(i int) { defer wg.Done(); h.writer(wctx, i) }(i)
 	}
-	for i := 0; i < cfg.Readers; i++ {
+	for i := 0; i < readerCount; i++ {
 		wg.Add(1)
 		go func(i int) { defer wg.Done(); h.reader(wctx, i) }(i)
 	}
@@ -374,29 +389,22 @@ func Run(cfg Config) (*Report, error) {
 	wcancel()
 	wg.Wait()
 
-	// Heal every fault and bring every member back before judging the
+	// Heal every fault and bring every node back before judging the
 	// convergence invariants.
 	h.healAll()
-	for _, id := range c.DownMembers() {
-		h.bumpEpoch(id)
-		if err := c.Restart(id); err != nil {
+	for _, id := range h.rt.Shard(0).DownMembers() {
+		if err := h.restart(id); err != nil {
 			return nil, fmt.Errorf("chaos: final restart of %s: %w", id, err)
 		}
-		h.noteRestart(id)
 	}
 
-	h.checkConvergence()
-	h.checkParallelApplyEquivalence()
-	h.checkDurability()
-	h.checkGTIDFinal()
-	h.checkPurgeCatchup()
-	h.checkElectionSafety()
+	h.checkAll()
 	h.finalizeStats()
 
 	h.mu.Lock()
 	violations := append([]string(nil), h.violations...)
 	h.mu.Unlock()
-	return &Report{Seed: cfg.Seed, Schedule: sched, Stats: h.stats, Violations: violations}, nil
+	return &Report{Seed: h.cfg.Seed, Schedule: sched, Stats: h.stats, Violations: violations}, nil
 }
 
 // execute plays the schedule against the wall clock.
@@ -409,7 +417,7 @@ func (h *harness) execute(sched Schedule) {
 		h.cfg.logf("chaos: apply %s", a)
 		h.apply(a)
 	}
-	if d := h.cfg.Duration - time.Since(start); d > 0 {
+	if d := faultWindow - time.Since(start); d > 0 {
 		time.Sleep(d)
 	}
 }
@@ -421,96 +429,115 @@ func (h *harness) apply(a Action) {
 		// overlaps either boundary sees a changed epoch and discards
 		// itself rather than attributing pre-crash state to the new life.
 		h.bumpEpoch(a.Node)
-		if err := h.c.Crash(a.Node); err == nil {
+		if err := h.rt.Crash(a.Node); err == nil {
 			h.stats.Crashes.Inc()
 		}
 		h.bumpEpoch(a.Node)
+		h.mu.Lock()
+		delete(h.faults.live, a.Node)
+		delete(h.stores.live, a.Node)
+		delete(h.skews.live, a.Node)
+		h.mu.Unlock()
 	case ActRestart:
-		h.bumpEpoch(a.Node)
-		if err := h.c.Restart(a.Node); err != nil {
+		if err := h.restart(a.Node); err != nil {
 			h.violatef("harness: restart %s: %v", a.Node, err)
-			return
 		}
-		h.noteRestart(a.Node)
 	case ActPartition:
-		h.c.Net().Partition(a.Node, a.Peer)
+		h.rt.Net().Partition(a.Node, a.Peer)
 		h.stats.Partitions.Inc()
 	case ActPartitionOneWay:
-		h.c.Net().PartitionOneWay(a.Node, a.Peer)
+		h.rt.Net().PartitionOneWay(a.Node, a.Peer)
 		h.stats.Partitions.Inc()
 	case ActHealNet:
-		h.c.Net().HealAll()
+		h.rt.Net().HealAll()
 		h.stats.NetHeals.Inc()
-	case ActDrop:
-		if f := h.fault(a.Node); f != nil {
-			f.SetDrop(a.P)
-			h.stats.FaultRules.Inc()
-		}
-	case ActDelay:
-		if f := h.fault(a.Node); f != nil {
-			f.SetDelay(a.P, a.Dur)
-			h.stats.FaultRules.Inc()
-		}
-	case ActDuplicate:
-		if f := h.fault(a.Node); f != nil {
-			f.SetDuplicate(a.P)
+	case ActDrop, ActDelay, ActDuplicate:
+		for _, f := range liveOf(h, &h.faults, a.Node) {
+			switch a.Kind {
+			case ActDrop:
+				f.SetDrop(a.P)
+			case ActDelay:
+				f.SetDelay(a.P, a.Dur)
+			case ActDuplicate:
+				f.SetDuplicate(a.P)
+			}
 			h.stats.FaultRules.Inc()
 		}
 	case ActHealFaults:
-		if f := h.fault(a.Node); f != nil {
+		for _, f := range liveOf(h, &h.faults, a.Node) {
 			f.Heal()
 		}
 	case ActFsyncStall:
-		if s := h.store(a.Node); s != nil {
+		for _, s := range liveOf(h, &h.stores, a.Node) {
 			s.StallSyncs(a.Dur)
 			h.stats.FsyncStalls.Inc()
 		}
 	case ActFsyncHeal:
-		if s := h.store(a.Node); s != nil {
+		for _, s := range liveOf(h, &h.stores, a.Node) {
 			s.Heal()
 		}
 	case ActFsyncFail:
-		if s := h.store(a.Node); s != nil {
+		for _, s := range liveOf(h, &h.stores, a.Node) {
 			s.FailSyncs(fmt.Errorf("chaos: injected fsync error"))
 			h.stats.FsyncFails.Inc()
 		}
 	case ActSkew:
-		if sk := h.skew(a.Node); sk != nil {
+		for _, sk := range liveOf(h, &h.skews, a.Node) {
 			sk.SetOffset(a.Dur)
 			h.stats.SkewChanges.Inc()
 		}
 	case ActPurge:
-		// One purge-coordinator round; rounds without a leader or with
-		// nothing purgeable are legitimate no-ops under faults.
-		if floor, err := h.c.PurgeOnce(a.N); err == nil && floor > 0 {
-			h.stats.Purges.Inc()
-			h.cfg.logf("chaos: purge floor -> %d (budget %d)", floor, a.N)
+		// One purge-coordinator round per ring; rounds without a leader or
+		// with nothing purgeable are legitimate no-ops under faults.
+		for s := 0; s < h.rt.Shards(); s++ {
+			if floor, err := h.rt.Shard(wire.ShardID(s)).PurgeOnce(a.N); err == nil && floor > 0 {
+				h.stats.Purges.Inc()
+				h.cfg.logf("chaos: shard %d purge floor -> %d (budget %d)", s, floor, a.N)
+			}
 		}
+	case ActSplit:
+		ctx, cancel := context.WithTimeout(context.Background(), convergeTimeout)
+		rep, err := h.rt.Split(ctx, a.Shard)
+		cancel()
+		if err != nil {
+			h.violatef("harness: split shard %d: %v", a.Shard, err)
+			return
+		}
+		h.stats.Splits.Inc()
+		h.stats.RowsMoved.Add(int64(rep.RowsMoved))
+		h.cfg.logf("chaos: moved %d rows to shard %d, table v%d", rep.RowsMoved, rep.NewShard, rep.TableVersion)
 	}
 }
 
-// noteRestart records a recovery, and — when the cluster has already
-// purged history — marks the member for the purge catch-up check: its
-// on-disk log may now start below the cluster floor, so convergence must
-// come through snapshot install rather than log replay.
-func (h *harness) noteRestart(id wire.NodeID) {
-	h.stats.Restarts.Inc()
-	if floor := h.c.PurgeFloor(); floor > 0 {
-		h.mu.Lock()
-		h.postPurgeRestarts[id] = floor
-		h.mu.Unlock()
+// restart recovers a node on every ring, and — for each ring that has
+// already purged history — marks the member for the purge catch-up
+// check: its on-disk log may now start below the ring's floor, so
+// convergence must come through snapshot install rather than log replay.
+func (h *harness) restart(id wire.NodeID) error {
+	h.bumpEpoch(id)
+	if err := h.rt.Restart(id); err != nil {
+		return err
 	}
+	h.stats.Restarts.Inc()
+	for s := 0; s < h.rt.Shards(); s++ {
+		if floor := h.rt.Shard(wire.ShardID(s)).PurgeFloor(); floor > 0 {
+			h.mu.Lock()
+			h.postPurgeRestarts[member{wire.ShardID(s), id}] = floor
+			h.mu.Unlock()
+		}
+	}
+	return nil
 }
 
 // healAll returns the run to a clean substrate: no partitions, no
 // transport rules (held messages flushed), no log-store faults, clocks
 // back in sync.
 func (h *harness) healAll() {
-	h.c.Net().HealAll()
+	h.rt.Net().HealAll()
 	h.mu.Lock()
-	faults := append([]*transport.Fault(nil), h.faultsAll...)
-	stores := append([]*logstore.Faulty(nil), h.storesAll...)
-	skews := append([]*clock.Skewed(nil), h.skewsAll...)
+	faults := append([]*transport.Fault(nil), h.faults.all...)
+	stores := append([]*logstore.Faulty(nil), h.stores.all...)
+	skews := append([]*clock.Skewed(nil), h.skews.all...)
 	h.mu.Unlock()
 	for _, f := range faults {
 		f.Heal()
@@ -523,18 +550,19 @@ func (h *harness) healAll() {
 	}
 }
 
-// writer owns one key and writes strictly increasing sequence numbers
-// to it. The sequence advances even on failed attempts, so a write that
-// times out at the client but commits later can never alias a newer
-// acknowledged value — the read-safety floor stays sound.
+// writer owns keys[i], keys[i+writerCount], … and writes one strictly
+// increasing sequence to them through the routed client. The sequence
+// advances even on failed attempts, so a write that times out at the
+// client but commits later can never alias a newer acknowledged value —
+// the read-safety floor stays sound. Attempts are single-shot: a fenced
+// range or a table reload mid-split counts as a write error.
 func (h *harness) writer(ctx context.Context, i int) {
-	key := fmt.Sprintf("chaos-w%d", i)
-	client := h.c.NewClient(0)
 	var seq uint64
-	for ctx.Err() == nil {
+	for k := i; ctx.Err() == nil; k += writerCount {
+		key := h.keys[k%len(h.keys)]
 		seq++
-		wctx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
-		res, err := client.TryWrite(wctx, key, []byte(strconv.FormatUint(seq, 10)))
+		wctx, cancel := context.WithTimeout(ctx, opTimeout)
+		res, err := h.client.TryWrite(wctx, key, []byte(strconv.FormatUint(seq, 10)))
 		cancel()
 		if err == nil {
 			h.ack(key, seq)
@@ -559,20 +587,25 @@ func (h *harness) reader(ctx context.Context, i int) {
 	lin := i%2 == 0
 	rng := rand.New(rand.NewSource(h.cfg.Seed + 7919*int64(i+1)))
 	for ctx.Err() == nil {
-		key := fmt.Sprintf("chaos-w%d", rng.Intn(h.cfg.Writers))
+		key := h.keys[rng.Intn(len(h.keys))]
 		floor := h.ackFloor(key)
-		rctx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
+		rctx, cancel := context.WithTimeout(ctx, opTimeout)
 		var res readpath.Result
 		var err error
 		if lin {
-			res, err = h.c.ReadLinearizable(rctx, key)
+			res, err = h.client.ReadLinearizable(rctx, key)
 		} else {
-			res, err = h.c.ReadLease(rctx, key)
+			res, err = h.client.ReadLease(rctx, key)
 		}
 		cancel()
 		if err == nil {
-			h.stats.Reads.Inc()
+			h.observeRead(res)
 			h.checkRead("read safety", key, floor, res)
+			if floor > 0 {
+				h.mu.Lock()
+				h.readJudged[h.client.ShardFor(key)] = true
+				h.mu.Unlock()
+			}
 		} else {
 			h.stats.ReadErrors.Inc()
 		}
@@ -580,6 +613,21 @@ func (h *harness) reader(ctx context.Context, i int) {
 		case <-ctx.Done():
 			return
 		case <-time.After(2 * time.Millisecond):
+		}
+	}
+}
+
+// observeRead counts what the read path served at each level while
+// faults were active.
+func (h *harness) observeRead(res readpath.Result) {
+	h.stats.Reads.Inc()
+	switch res.Level {
+	case readpath.LevelLinearizable:
+		h.stats.LinReads.Inc()
+	case readpath.LevelLease:
+		h.stats.LeaseReads.Inc()
+		if res.FellBack {
+			h.stats.FallbackObs.Inc()
 		}
 	}
 }
@@ -610,12 +658,6 @@ func (h *harness) checkRead(what, key string, floor uint64, res readpath.Result)
 // epoch counters; across a crash the per-member state resets, because a
 // torn tail may legally drop locally-unsynced copies of entries.
 func (h *harness) gtidSampler(ctx context.Context) {
-	var mysqls []wire.NodeID
-	for _, m := range h.c.Members() {
-		if m.Spec.Kind == cluster.KindMySQL {
-			mysqls = append(mysqls, m.Spec.ID)
-		}
-	}
 	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -624,22 +666,30 @@ func (h *harness) gtidSampler(ctx context.Context) {
 			return
 		case <-tick.C:
 		}
-		for _, id := range mysqls {
-			h.sampleGTID(id)
+		// Re-read the shard count every round: a split adds a ring.
+		for s := 0; s < h.rt.Shards(); s++ {
+			for _, spec := range h.cfg.Specs {
+				if spec.Kind == cluster.KindMySQL {
+					h.sampleGTID(member{wire.ShardID(s), spec.ID})
+				}
+			}
 		}
 	}
 }
 
-func (h *harness) sampleGTID(id wire.NodeID) {
-	e0 := h.epoch(id)
-	_, srv, ok := h.c.MySQLStack(id)
+func (h *harness) sampleGTID(m member) {
+	e0 := h.epoch(m.node)
+	_, srv, ok := h.rt.Shard(m.shard).MySQLStack(m.node)
 	if !ok {
 		return
 	}
-	st := h.gtids[id]
+	st := h.gtids[m]
 	if st == nil || st.epoch != e0 {
 		st = &gtidState{epoch: e0, applied: gtid.NewSet()}
-		h.gtids[id] = st
+		h.gtids[m] = st
+	}
+	if h.appliedEver[m.shard] == nil {
+		h.appliedEver[m.shard] = gtid.NewSet()
 	}
 	applied := srv.ApplierLastApplied()
 	fresh := gtid.NewSet()
@@ -654,292 +704,27 @@ func (h *harness) sampleGTID(id wire.NodeID) {
 		}
 	}
 	executed := srv.GTIDExecuted()
-	if h.epoch(id) != e0 {
+	if h.epoch(m.node) != e0 {
 		return // crash landed mid-sample; state is torn, discard
 	}
 	st.prevApplied = applied
 	st.applied.Union(fresh)
-	h.appliedEver.Union(fresh)
+	h.appliedEver[m.shard].Union(fresh)
 	if !executed.ContainsSet(st.applied) {
-		h.violatef("gtid monotonicity: %s executed set %v stopped containing its applied set %v with no crash in between",
-			id, executed, st.applied)
-	}
-}
-
-// checkConvergence waits for the healed cluster to elect a primary and
-// re-converge every member's log and engine — the log matching
-// invariant judged at quiescence, over full content checksums rather
-// than samples.
-func (h *harness) checkConvergence() {
-	deadline := time.Now().Add(h.cfg.ConvergeTimeout)
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	defer cancel()
-	if _, err := h.c.AnyPrimary(ctx); err != nil {
-		h.violatef("convergence: no primary after full heal: %v\nstatus: %s", err, h.statusLines())
-		return
-	}
-	members := h.c.Members()
-	var lastLog, lastEng string
-	for {
-		logOK := false
-		// Under the bounded-log lifecycle the logs are windows, not
-		// prefixes: compare from the highest first-retained index so a
-		// snapshot-installed member's missing (purged) prefix is not
-		// mistaken for divergence.
-		from := h.c.LogCommonStart()
-		sums, err := h.c.LogChecksums(from)
-		if err == nil && len(sums) == len(members) {
-			logOK = allEqual(sums)
-			lastLog = fmt.Sprintf("from=%d %v", from, sums)
-		} else {
-			lastLog = fmt.Sprintf("from=%d %v (err=%v)", from, sums, err)
-		}
-		esums := h.c.EngineChecksums()
-		engOK := len(esums) > 0 && allEqual(esums)
-		lastEng = fmt.Sprintf("%v", esums)
-		if logOK && engOK {
-			h.cfg.logf("chaos: converged: logs=%s engines=%s", lastLog, lastEng)
-			return
-		}
-		if time.Now().After(deadline) {
-			h.violatef("log matching: no convergence within %s: logs=%s engines=%s\nstatus: %s",
-				h.cfg.ConvergeTimeout, lastLog, lastEng, h.statusLines())
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// checkParallelApplyEquivalence re-derives every full-history member's
-// engine state by replaying its relay log serially, in strict index
-// order, and compares row checksums: whatever interleaving the parallel
-// applier chose, the result must equal the canonical serial order
-// (§3.5 writeset-scheduling safety). Members whose log no longer starts
-// at index 1 (snapshot-installed after purge) cannot be replayed from
-// an empty state and are skipped with a trace line.
-func (h *harness) checkParallelApplyEquivalence() {
-	for _, m := range h.c.Members() {
-		srv := m.Server()
-		if srv == nil || m.IsDown() {
-			continue
-		}
-		if first := srv.Log().FirstIndex(); first > 1 {
-			h.cfg.logf("chaos: parallel-apply equivalence: skip %s (log starts at %d)", m.Spec.ID, first)
-			continue
-		}
-		// The workload has stopped and convergence held, but the applier
-		// may still be draining its tail: only judge a replay whose
-		// engine position held still while it ran.
-		deadline := time.Now().Add(h.cfg.ConvergeTimeout)
-		for {
-			through := srv.Engine().LastCommitted().Index
-			sum, err := h.serialReplayChecksum(srv.Log(), through)
-			if err != nil {
-				h.violatef("parallel apply: %s: serial replay: %v", m.Spec.ID, err)
-				break
-			}
-			if srv.Engine().LastCommitted().Index == through {
-				if got := srv.Engine().Checksum(); got != sum {
-					h.violatef("parallel apply: %s: engine checksum %08x != serial replay %08x through index %d",
-						m.Spec.ID, got, sum, through)
-				} else {
-					h.cfg.logf("chaos: parallel-apply equivalence: %s ok (%08x through %d)", m.Spec.ID, sum, through)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				h.violatef("parallel apply: %s: engine position would not settle for replay", m.Spec.ID)
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-}
-
-// serialReplayChecksum folds the data entries of [1, through] into a
-// fresh row map one at a time and returns the content checksum a
-// hypothetical engine holding that state would report.
-func (h *harness) serialReplayChecksum(l *binlog.Log, through uint64) (uint32, error) {
-	rows := make(map[string][]byte)
-	const chunk = 512
-	for from := uint64(1); from <= through; from += chunk {
-		to := min(from+chunk-1, through)
-		entries, err := l.Entries(from, to)
-		if err != nil {
-			return 0, err
-		}
-		for _, e := range entries {
-			if e.Type != binlog.EntryNormal {
-				continue
-			}
-			changes, _, err := storage.DecodeTxnPayload(e.Payload)
-			if err != nil {
-				return 0, fmt.Errorf("entry %d: %w", e.OpID.Index, err)
-			}
-			for _, c := range changes {
-				if c.IsDelete() {
-					delete(rows, c.Key)
-				} else {
-					rows[c.Key] = c.After
-				}
-			}
-		}
-	}
-	return storage.ChecksumRows(rows), nil
-}
-
-// statusLines renders every member's raft status for convergence
-// failure reports.
-func (h *harness) statusLines() string {
-	var lines []string
-	for _, m := range h.c.Members() {
-		n := m.Node()
-		if n == nil {
-			lines = append(lines, fmt.Sprintf("%s: down", m.Spec.ID))
-			continue
-		}
-		st := n.Status()
-		ds := n.DurabilityStats()
-		lines = append(lines, fmt.Sprintf("%s: role=%v term=%d leader=%s last=%v commit=%d durable=%d werr=%v",
-			st.ID, st.Role, st.Term, st.Leader, st.LastOpID, st.CommitIndex, st.DurableIndex, ds.Err))
-		if ds.Err != nil {
-			if s := h.store(m.Spec.ID); s != nil {
-				j := s.Journal()
-				if len(j) > 40 {
-					j = j[len(j)-40:]
-				}
-				lines = append(lines, fmt.Sprintf("%s store journal: %v", m.Spec.ID, j))
-			}
-		}
-	}
-	return "\n  " + fmt.Sprint(lines)
-}
-
-// checkDurability re-reads every key's final value linearizably: an
-// acknowledged write — acked only after quorum fsync — must never be
-// lost, no matter how many members crashed.
-func (h *harness) checkDurability() {
-	h.mu.Lock()
-	acked := make(map[string]uint64, len(h.acked))
-	for k, v := range h.acked {
-		acked[k] = v
-	}
-	h.mu.Unlock()
-	keys := make([]string, 0, len(acked))
-	for k := range acked {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		res, err := h.c.ReadLinearizable(ctx, key)
-		cancel()
-		if err != nil {
-			h.violatef("durability: final read of %s (acked seq %d) failed: %v", key, acked[key], err)
-			continue
-		}
-		h.checkRead("durability", key, acked[key], res)
-	}
-}
-
-// checkGTIDFinal verifies the quiesced MySQL members agree on one
-// executed GTID set and that it contains every GTID any member ever
-// applied: applied implies committed, and committed transactions must
-// survive into the converged state.
-func (h *harness) checkGTIDFinal() {
-	sets := make(map[wire.NodeID]*gtid.Set)
-	for _, m := range h.c.Members() {
-		if m.Spec.Kind != cluster.KindMySQL {
-			continue
-		}
-		_, srv, ok := h.c.MySQLStack(m.Spec.ID)
-		if !ok {
-			h.violatef("gtid convergence: %s still down after final heal", m.Spec.ID)
-			continue
-		}
-		sets[m.Spec.ID] = srv.GTIDExecuted()
-	}
-	var ref *gtid.Set
-	var refID wire.NodeID
-	for id, s := range sets {
-		if ref == nil {
-			ref, refID = s, id
-			continue
-		}
-		if !ref.Equal(s) {
-			h.violatef("gtid convergence: %s executed %v != %s executed %v", refID, ref, id, s)
-		}
-	}
-	for id, s := range sets {
-		if !s.ContainsSet(h.appliedEver) {
-			h.violatef("gtid durability: %s executed %v is missing applied-anywhere GTIDs %v", id, s, h.appliedEver)
-		}
-	}
-}
-
-// checkPurgeCatchup is the purge catch-up invariant: every MySQL member
-// that was restarted after a purge floor was in force must still have
-// converged to the primary's executed GTID set — its purged prefix is
-// unreplayable, so only the snapshot path (or a log window still above
-// the floor) can have gotten it there, and neither is allowed to lose or
-// invent transactions.
-func (h *harness) checkPurgeCatchup() {
-	h.mu.Lock()
-	restarts := make(map[wire.NodeID]uint64, len(h.postPurgeRestarts))
-	for id, f := range h.postPurgeRestarts {
-		restarts[id] = f
-	}
-	h.mu.Unlock()
-	if len(restarts) == 0 {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.ConvergeTimeout)
-	primary, err := h.c.AnyPrimary(ctx)
-	cancel()
-	if err != nil || primary.Server() == nil {
-		h.violatef("purge catch-up: no primary to judge against: %v", err)
-		return
-	}
-	ref := primary.Server().GTIDExecuted()
-	for id, floor := range restarts {
-		_, srv, ok := h.c.MySQLStack(id)
-		if !ok {
-			continue // logtailer or (impossibly) still down; GTID checks do not apply
-		}
-		if got := srv.GTIDExecuted(); !got.Equal(ref) {
-			h.violatef("purge catch-up: %s restarted under purge floor %d but its executed set %v never reconverged to the primary's %v",
-				id, floor, got, ref)
-		}
-	}
-}
-
-// checkElectionSafety asserts at most one member ever claimed
-// leadership of any term, from the role-change records the raft hook
-// captured.
-func (h *harness) checkElectionSafety() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for term, set := range h.leaders {
-		if len(set) > 1 {
-			ids := make([]wire.NodeID, 0, len(set))
-			for id := range set {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			h.violations = append(h.violations,
-				fmt.Sprintf("election safety: term %d had %d leaders: %v", term, len(set), ids))
-		}
+		h.violatef("shard %d: gtid monotonicity: %s executed set %v stopped containing its applied set %v with no crash in between",
+			m.shard, m.node, executed, st.applied)
 	}
 }
 
 // finalizeStats folds every transport fault wrapper's message counters
-// into the run stats, plus the snapshot-transfer counters of each
-// member's final life (restarts reset a node's counters, so this is a
-// lower bound on transfer activity — enough to show the snapshot path
-// actually ran under purge faults).
+// into the run stats, plus the routing counters and the
+// snapshot-transfer counters of each member's final life (restarts reset
+// a node's counters, so this is a lower bound on transfer activity —
+// enough to show the snapshot path actually ran under purge faults).
 func (h *harness) finalizeStats() {
 	h.mu.Lock()
-	faults := append([]*transport.Fault(nil), h.faultsAll...)
+	faults := append([]*transport.Fault(nil), h.faults.all...)
+	h.stats.Checked["read safety"] = len(h.readJudged)
 	h.mu.Unlock()
 	for _, f := range faults {
 		st := f.Stats()
@@ -948,46 +733,34 @@ func (h *harness) finalizeStats() {
 		h.stats.MsgDuplicated.Add(st.Duplicated)
 		h.stats.DropsPerLife.Observe(st.Dropped)
 	}
-	for _, m := range h.c.Members() {
-		if n := m.Node(); n != nil {
-			ss := n.SnapshotStats()
-			h.stats.SnapshotInstalls.Add(ss.Installs)
-			h.stats.SnapshotChunks.Add(ss.ChunksSent)
-		}
-	}
-	// Fold every member tracer's stage summaries into one per-stage
-	// rollup, so a failing seed's report shows where write-path time
-	// went under the faults (a fat fsync p99 next to fsync-stall counts
-	// tells the story at a glance).
-	for _, mr := range h.c.MemberRegistries() {
-		if mr.Tracer == nil {
-			continue
-		}
-		for st, sum := range mr.Tracer.StageSummaries() {
-			agg := h.stats.WritePath[st.String()]
-			agg.Count += sum.Count
-			if sum.P99 > agg.P99 {
-				agg.P99 = sum.P99
+	h.stats.Shards = h.rt.Shards()
+	h.stats.TableVersion = h.rt.Router().Version()
+	h.stats.StaleRejects = h.rt.StaleRejects()
+	h.stats.FenceWaits = h.rt.FenceWaits()
+	for s := 0; s < h.rt.Shards(); s++ {
+		c := h.rt.Shard(wire.ShardID(s))
+		for _, m := range c.Members() {
+			if n := m.Node(); n != nil {
+				ss := n.SnapshotStats()
+				h.stats.SnapshotInstalls.Add(ss.Installs)
+				h.stats.SnapshotChunks.Add(ss.ChunksSent)
 			}
-			if sum.Max > agg.Max {
-				agg.Max = sum.Max
+		}
+		// Fold every member tracer's stage summaries into one per-stage
+		// rollup, so a failing seed's report shows where write-path time
+		// went under the faults (a fat fsync p99 next to fsync-stall counts
+		// tells the story at a glance).
+		for _, mr := range c.MemberRegistries() {
+			if mr.Tracer == nil {
+				continue
 			}
-			h.stats.WritePath[st.String()] = agg
+			for st, sum := range mr.Tracer.StageSummaries() {
+				agg := h.stats.WritePath[st.String()]
+				agg.Count += sum.Count
+				agg.P99 = max(agg.P99, sum.P99)
+				agg.Max = max(agg.Max, sum.Max)
+				h.stats.WritePath[st.String()] = agg
+			}
 		}
 	}
-}
-
-func allEqual[K comparable](m map[K]uint32) bool {
-	var ref uint32
-	first := true
-	for _, v := range m {
-		if first {
-			ref, first = v, false
-			continue
-		}
-		if v != ref {
-			return false
-		}
-	}
-	return true
 }

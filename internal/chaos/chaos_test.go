@@ -1,16 +1,22 @@
 package chaos
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"myraft/internal/cluster"
+	"myraft/internal/wire"
 )
 
-// -chaos.seed re-runs a single seed's exact schedule, the repro knob a
-// failing campaign prints.
+// -chaos.seed re-runs one seed: TestChaos runs exactly that seed, and
+// every row of TestChaosSmoke runs with it instead of its pinned seeds.
+// A failing run prints the command (Report.ReproCommand).
 var seedFlag = flag.Int64("chaos.seed", -1, "run only this chaos seed (repro mode)")
 
 // -chaos.seeds sizes the local campaign.
@@ -20,9 +26,9 @@ var seedsFlag = flag.Int("chaos.seeds", 20, "number of distinct seeds in the cha
 // bundle (repro command, violations, stats, op journal). CI uploads it.
 var artifactsFlag = flag.String("chaos.artifacts", "", "directory for failing-seed repro artifacts")
 
-// writeArtifact drops a failing seed's full report where CI can pick it
+// writeArtifact drops a failing run's full report where CI can pick it
 // up: everything needed to reproduce and triage without rerunning.
-func writeArtifact(t *testing.T, rep *Report) {
+func writeArtifact(t *testing.T, name string, rep *Report) {
 	if *artifactsFlag == "" {
 		return
 	}
@@ -31,12 +37,13 @@ func writeArtifact(t *testing.T, rep *Report) {
 		return
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "repro: %s\n\nviolations (%d):\n", rep.ReproCommand(), len(rep.Violations))
+	fmt.Fprintf(&b, "repro: %s\n\nviolations (%d):\n", rep.ReproCommand(name), len(rep.Violations))
 	for _, v := range rep.Violations {
 		fmt.Fprintf(&b, "  %s\n", v)
 	}
 	fmt.Fprintf(&b, "\nstats:\n%s\n\nop journal (schedule):\n%s\n", rep.Stats, rep.Schedule)
-	path := filepath.Join(*artifactsFlag, fmt.Sprintf("seed-%d.txt", rep.Seed))
+	file := fmt.Sprintf("%s-seed-%d.txt", strings.NewReplacer("/", "-", "^", "", "$", "").Replace(name), rep.Seed)
+	path := filepath.Join(*artifactsFlag, file)
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Logf("chaos: write artifact: %v", err)
 		return
@@ -44,121 +51,222 @@ func writeArtifact(t *testing.T, rep *Report) {
 	t.Logf("chaos artifact written: %s", path)
 }
 
-func runSeed(t *testing.T, seed int64) {
+// runConfig plays one run and reports it: name is the anchored -run
+// pattern of the test (and table row) cfg belongs to, a nil sched means
+// the schedule generated from cfg.
+func runConfig(t *testing.T, name string, cfg Config, sched Schedule) *Report {
 	t.Helper()
-	cfg := Config{Seed: seed}
 	if testing.Verbose() {
 		cfg.Logf = t.Logf
 	}
-	rep, err := Run(cfg)
+	if sched == nil {
+		sched = GenerateSchedule(cfg)
+	}
+	rep, err := Run(cfg, sched)
 	if err != nil {
-		t.Fatalf("seed %d: harness error: %v\nrepro: go test -run TestChaos -chaos.seed=%d ./internal/chaos", seed, err, seed)
+		t.Fatalf("seed %d: harness error: %v\nrepro: %s", cfg.Seed, err, (&Report{Seed: cfg.Seed}).ReproCommand(name))
 	}
 	if !rep.Passed() {
-		t.Errorf("seed %d: %d invariant violation(s):", seed, len(rep.Violations))
+		t.Errorf("seed %d: %d invariant violation(s):", cfg.Seed, len(rep.Violations))
 		for _, v := range rep.Violations {
 			t.Errorf("  %s", v)
 		}
 		t.Errorf("stats:\n%s", rep.Stats)
 		t.Errorf("schedule:\n%s", rep.Schedule)
-		t.Errorf("repro: %s", rep.ReproCommand())
-		writeArtifact(t, rep)
-		return
+		t.Errorf("repro: %s", rep.ReproCommand(name))
+		writeArtifact(t, name, rep)
+	} else if testing.Verbose() {
+		t.Logf("seed %d passed:\n%s", cfg.Seed, rep.Stats)
 	}
-	if testing.Verbose() {
-		t.Logf("seed %d passed:\n%s", seed, rep.Stats)
+	if rep.Stats.Writes.Value() == 0 {
+		t.Errorf("seed %d: workload never acknowledged a write (errs=%d)", cfg.Seed, rep.Stats.WriteErrors.Value())
 	}
+	return rep
 }
 
+func seedName(seed int64) string { return fmt.Sprintf("seed-%d", seed) }
+
 // TestChaos is the randomized campaign: a pool of distinct seeds, each
-// a full cluster life under its own fault schedule with every invariant
-// checker armed. With -chaos.seed=N it runs exactly that seed instead —
-// the deterministic reproduction path.
+// a full single-ring paper-topology life under its own fault schedule
+// with every invariant checker armed. With -chaos.seed=N it runs exactly
+// that seed instead — the deterministic reproduction path.
 func TestChaos(t *testing.T) {
+	const name = "^TestChaos$"
 	if *seedFlag >= 0 {
-		runSeed(t, *seedFlag)
+		runConfig(t, name, Config{Seed: *seedFlag}, nil)
 		return
 	}
 	if testing.Short() {
 		t.Skip("chaos campaign skipped in -short mode (run TestChaosSmoke instead)")
 	}
 	for seed := int64(1); seed <= int64(*seedsFlag); seed++ {
-		seed := seed
 		t.Run(seedName(seed), func(t *testing.T) {
-			runSeed(t, seed)
+			runConfig(t, name, Config{Seed: seed}, nil)
 		})
 	}
 }
 
-func seedName(seed int64) string { return fmt.Sprintf("seed-%d", seed) }
+// threeVoters is the multi-shard node set: three MySQL voters in one
+// region, every ring stretched across all of them.
+var threeVoters = []cluster.MemberSpec{
+	{ID: "n0", Region: "r1", Kind: cluster.KindMySQL, Voter: true},
+	{ID: "n1", Region: "r1", Kind: cluster.KindMySQL, Voter: true},
+	{ID: "n2", Region: "r1", Kind: cluster.KindMySQL, Voter: true},
+}
 
-// TestChaosSmoke is the fixed-seed subset CI runs on every push: small
-// enough to keep the gate fast, seeded identically everywhere so a CI
-// failure reproduces locally with the printed command.
+// splitSchedule is split-under-load as a schedule: a follower pair is
+// partitioned while the writers fill the keys, the network heals, ring 0
+// splits online, and the node that bootstrapped as its primary crashes
+// and recovers after the cutover.
+var splitSchedule = Schedule{
+	{At: 20 * time.Millisecond, Kind: ActPartition, Node: "n1", Peer: "n2"},
+	{At: 420 * time.Millisecond, Kind: ActHealNet},
+	{At: 430 * time.Millisecond, Kind: ActSplit, Shard: 0},
+	{At: 700 * time.Millisecond, Kind: ActCrash, Node: "n0"},
+	{At: 900 * time.Millisecond, Kind: ActRestart, Node: "n0"},
+}
+
+// smokeRuns is the fixed-seed table CI runs on every push: small enough
+// to keep the gate fast, seeded identically everywhere so a CI failure
+// reproduces locally with the printed command.
+var smokeRuns = []struct {
+	name  string
+	seeds []int64
+	cfg   Config   // Seed is filled per run
+	sched Schedule // nil: generated from cfg
+	check func(t *testing.T, rep *Report)
+}{
+	// Seeds 3 and 11 crash and partition mysql-0 with the commit pipeline
+	// and the parallel appliers (both wide by default) mid-flight.
+	{name: "paper", seeds: []int64{1, 7, 42, 3, 11}},
+	// Seed 10 leaves a snapshot-installed member with an empty log, which
+	// the serial-replay checker once tried to replay from index 1.
+	{name: "4-shard", seeds: []int64{1, 7, 10}, cfg: Config{Shards: 4, Specs: threeVoters}, check: checkEveryShardJudged},
+	{name: "split", seeds: []int64{1, 5}, cfg: Config{Specs: threeVoters}, sched: splitSchedule, check: checkSplitHappened},
+}
+
+// smokeName is the anchored -run pattern of one TestChaosSmoke row.
+func smokeName(row string) string { return "^TestChaosSmoke$/^" + row + "$" }
+
+// seedsFor returns the seeds a table row runs: its pinned ones, or the
+// single one -chaos.seed names.
+func seedsFor(pinned []int64) []int64 {
+	if *seedFlag >= 0 {
+		return []int64{*seedFlag}
+	}
+	return pinned
+}
+
 func TestChaosSmoke(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(seedName(seed), func(t *testing.T) {
-			runSeed(t, seed)
-		})
-	}
-}
-
-// TestChaosParallelApplySmoke runs the fixed-seed smoke with the
-// replica appliers forced wide (8 workers), so the parallel scheduler —
-// writeset dependency tracking, out-of-order staging, in-order commit —
-// faces the full fault schedule, and the serial-replay equivalence
-// checker judges what it produced.
-func TestChaosParallelApplySmoke(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		seed := seed
-		t.Run(seedName(seed), func(t *testing.T) {
-			cfg := Config{Seed: seed, ApplyWorkers: 8}
-			if testing.Verbose() {
-				cfg.Logf = t.Logf
-			}
-			rep, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("seed %d: harness error: %v", seed, err)
-			}
-			if !rep.Passed() {
-				t.Errorf("seed %d: %d invariant violation(s):", seed, len(rep.Violations))
-				for _, v := range rep.Violations {
-					t.Errorf("  %s", v)
-				}
-				t.Errorf("repro: go test -run TestChaosParallelApplySmoke ./internal/chaos")
+	for _, row := range smokeRuns {
+		t.Run(row.name, func(t *testing.T) {
+			for _, seed := range seedsFor(row.seeds) {
+				t.Run(seedName(seed), func(t *testing.T) {
+					cfg := row.cfg
+					cfg.Seed = seed
+					rep := runConfig(t, smokeName(row.name), cfg, row.sched)
+					if row.check != nil {
+						row.check(t, rep)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestChaosPipelinedCommitSmoke runs the fixed-seed smoke with the
-// leader's commit pipeline opened wide (depth 4), so groups are
-// consensus-pending in flight when the schedule crashes and partitions
-// the primary. Seeds 3 and 11 both include mysql-0 crashes and
-// partitions; the durability and gap-free-engine checkers judge whether
-// any acked write was lost or any unacked write leaked across the
-// mid-pipeline demotions this provokes.
-func TestChaosPipelinedCommitSmoke(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		seed := seed
-		t.Run(seedName(seed), func(t *testing.T) {
-			cfg := Config{Seed: seed, CommitPipelineDepth: 4}
-			if testing.Verbose() {
-				cfg.Logf = t.Logf
-			}
-			rep, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("seed %d: harness error: %v", seed, err)
-			}
-			if !rep.Passed() {
-				t.Errorf("seed %d: %d invariant violation(s):", seed, len(rep.Violations))
-				for _, v := range rep.Violations {
-					t.Errorf("  %s", v)
-				}
-				t.Errorf("repro: go test -run TestChaosPipelinedCommitSmoke ./internal/chaos")
-			}
-		})
+// checkEveryShardJudged: the multi-shard run met the whole fault
+// vocabulary, not only crashes and partitions, and every invariant was
+// evaluated on every ring.
+func checkEveryShardJudged(t *testing.T, rep *Report) {
+	st := rep.Stats
+	scheduled := make(map[ActionKind]bool)
+	for _, a := range rep.Schedule {
+		scheduled[a.Kind] = true
+	}
+	for _, f := range []struct {
+		name    string
+		kinds   []ActionKind
+		applied int64
+	}{
+		{"fault rules", []ActionKind{ActDrop, ActDelay, ActDuplicate}, st.FaultRules.Value()},
+		{"fsync stalls", []ActionKind{ActFsyncStall}, st.FsyncStalls.Value()},
+		{"fsync fails", []ActionKind{ActFsyncFail}, st.FsyncFails.Value()},
+		{"skew changes", []ActionKind{ActSkew}, st.SkewChanges.Value()},
+	} {
+		inSchedule := false
+		for _, k := range f.kinds {
+			inSchedule = inSchedule || scheduled[k]
+		}
+		// The pinned seeds schedule all four; a -chaos.seed rerun may not.
+		// Each is applied to the wrapper of every ring on the node.
+		if inSchedule && f.applied < int64(st.Shards) {
+			t.Errorf("seed %d: %s applied %d times across %d shards, want at least one per shard", rep.Seed, f.name, f.applied, st.Shards)
+		}
+	}
+	for _, inv := range invariants {
+		want := st.Shards
+		if inv == "isolation" {
+			want = 1
+		}
+		if st.Checked[inv] != want {
+			t.Errorf("seed %d: %q evaluated on %d shards, want %d", rep.Seed, inv, st.Checked[inv], want)
+		}
+	}
+}
+
+func checkSplitHappened(t *testing.T, rep *Report) {
+	st := rep.Stats
+	if st.Shards != 2 || st.TableVersion != 3 {
+		t.Errorf("seed %d: %d shards at table version %d after the split, want 2 at 3 (fence then cutover)", rep.Seed, st.Shards, st.TableVersion)
+	}
+	if st.RowsMoved.Value() == 0 {
+		t.Errorf("seed %d: the split moved no rows", rep.Seed)
+	}
+}
+
+// A row written straight to a non-owner ring's primary, behind the
+// router's back, is what the isolation checker exists to catch.
+func TestIsolationCheckCatchesPlantedLeak(t *testing.T) {
+	h, err := boot(Config{Seed: 1, Shards: 2, Specs: threeVoters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.rt.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	key := h.keys[0]
+	if _, err := h.client.Write(ctx, key, []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	h.ack(key, 1)
+
+	h.checkIsolation()
+	if len(h.violations) != 0 {
+		t.Fatalf("isolation violations before any leak: %v", h.violations)
+	}
+	other := wire.ShardID(1) - h.client.ShardFor(key)
+	if _, err := h.rt.Shard(other).NewClient(0).Write(ctx, key, []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	h.checkIsolation()
+	if len(h.violations) != 1 || !strings.Contains(h.violations[0], "isolation") || !strings.Contains(h.violations[0], key) {
+		t.Fatalf("planted leak of %s into shard %d: violations = %v, want one isolation violation naming the key", key, other, h.violations)
+	}
+}
+
+// The repro command names the test and table row a Config came from,
+// anchored so it selects nothing else, and -chaos.seed makes that row run
+// the report's seed alone.
+func TestReproCommandRerunsTheConfig(t *testing.T) {
+	got := (&Report{Seed: 9}).ReproCommand(smokeName("4-shard"))
+	want := "go test -run '^TestChaosSmoke$/^4-shard$' -chaos.seed=9 ./internal/chaos"
+	if got != want {
+		t.Fatalf("repro command = %q, want %q", got, want)
+	}
+	defer func(old int64) { *seedFlag = old }(*seedFlag)
+	*seedFlag = 9
+	if seeds := seedsFor([]int64{1, 7}); len(seeds) != 1 || seeds[0] != 9 {
+		t.Fatalf("with -chaos.seed=9 a row pinned to seeds 1 and 7 runs %v, want [9]", seeds)
 	}
 }
 
@@ -199,7 +307,7 @@ func TestScheduleRespectsMaxDown(t *testing.T) {
 			switch a.Kind {
 			case ActCrash:
 				down[id] = true
-				if len(down) > cfg.MaxDown {
+				if len(down) > cfg.maxDown() {
 					t.Fatalf("seed %d: %d members down after %v", seed, len(down), a)
 				}
 				if pendingFail[id] == 2 {

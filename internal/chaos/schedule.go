@@ -49,13 +49,18 @@ const (
 	// ActSkew sets Node's wall-clock offset to Dur (possibly negative),
 	// stressing the lease read path.
 	ActSkew
-	// ActPurge runs one cluster purge round with retention budget N: the
-	// leader advances the purge floor and drives PURGE BINARY LOGS on
-	// every live member, so crashed members come back behind the floor
-	// and must catch up through snapshot install. The generator also
+	// ActPurge runs one purge round with retention budget N on every
+	// ring: the leader advances the purge floor and drives PURGE BINARY
+	// LOGS on every live member, so crashed members come back behind the
+	// floor and must catch up through snapshot install. The generator also
 	// composes this with crash/restart pairs to crash members mid
 	// snapshot transfer (the resumable-transfer stress).
 	ActPurge
+	// ActSplit splits ring Shard online (multiraft.Runtime.Split) while
+	// the workload keeps going; the schedule waits for the cutover before
+	// its next action. GenerateSchedule does not emit it yet: hand-written
+	// schedules do.
+	ActSplit
 )
 
 func (k ActionKind) String() string {
@@ -88,6 +93,8 @@ func (k ActionKind) String() string {
 		return "skew"
 	case ActPurge:
 		return "purge"
+	case ActSplit:
+		return "split"
 	default:
 		return fmt.Sprintf("action(%d)", int(k))
 	}
@@ -105,6 +112,8 @@ type Action struct {
 	Dur  time.Duration
 	// N is ActPurge's retention budget (entries kept below the tail).
 	N uint64
+	// Shard is ActSplit's source ring.
+	Shard wire.ShardID
 }
 
 func (a Action) String() string {
@@ -121,6 +130,9 @@ func (a Action) String() string {
 	}
 	if a.N != 0 {
 		fmt.Fprintf(&b, " n=%d", a.N)
+	}
+	if a.Kind == ActSplit {
+		fmt.Fprintf(&b, " shard=%d", a.Shard)
 	}
 	return b.String()
 }
@@ -144,16 +156,16 @@ const foreverDown = time.Duration(1<<62 - 1)
 // function: the same Config (in particular the same Seed) always yields
 // the identical Schedule, which is what makes a failing chaos run
 // reproducible from its printed seed. The generator tracks which nodes
-// it has taken down so at most cfg.MaxDown members are ever crashed at
-// once — the cluster keeps a live quorum and the workload can make
-// progress between faults.
+// it has taken down so at most cfg.maxDown() are ever crashed at once —
+// every ring keeps a live quorum and the workload can make progress
+// between faults.
 func GenerateSchedule(cfg Config) Schedule {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	maxDown := cfg.maxDown()
 
-	specs := cluster.PaperTopology(cfg.FollowerRegions, 0)
 	var nodes, mysqls []wire.NodeID
-	for _, s := range specs {
+	for _, s := range cfg.Specs {
 		nodes = append(nodes, s.ID)
 		if s.Kind == cluster.KindMySQL {
 			mysqls = append(mysqls, s.ID)
@@ -186,12 +198,12 @@ func GenerateSchedule(cfg Config) Schedule {
 	var t time.Duration
 	for {
 		t += 20*time.Millisecond + time.Duration(rng.Int63n(int64(60*time.Millisecond)))
-		if t >= cfg.Duration {
+		if t >= faultWindow {
 			break
 		}
 		switch rng.Intn(18) {
 		case 0: // crash, no scheduled recovery
-			if downCount(t) >= cfg.MaxDown {
+			if downCount(t) >= maxDown {
 				continue
 			}
 			id := pick(up(nodes, t))
@@ -258,7 +270,7 @@ func GenerateSchedule(cfg Config) Schedule {
 				Action{At: heal, Kind: ActFsyncHeal, Node: id})
 		case 13: // dying disk: sticky fsync error, then crash, then recovery
 			alive := up(mysqls, t)
-			if downCount(t) >= cfg.MaxDown || len(alive) == 0 {
+			if downCount(t) >= maxDown || len(alive) == 0 {
 				continue
 			}
 			id := pick(alive)
@@ -270,9 +282,9 @@ func GenerateSchedule(cfg Config) Schedule {
 				Action{At: restartAt, Kind: ActRestart, Node: id})
 			downUntil[id] = restartAt
 		case 14, 15:
-			// Offsets stay within ±MaxClockSkew/2 so any pair of members is
+			// Offsets stay within ±maxClockSkew/2 so any pair of members is
 			// within the configured bound and lease reads must remain safe.
-			half := int64(cfg.maxClockSkew() / 2)
+			half := int64(maxClockSkew / 2)
 			off := time.Duration(rng.Int63n(2*half+1) - half)
 			sched = append(sched, Action{At: t, Kind: ActSkew, Node: pick(up(nodes, t)), Dur: off})
 		case 16: // purge round with a small retention budget
@@ -286,7 +298,7 @@ func GenerateSchedule(cfg Config) Schedule {
 			// again mid-transfer and recover it once more. The transfer must
 			// restart or resume idempotently.
 			alive := up(mysqls, t)
-			if downCount(t) >= cfg.MaxDown || len(alive) == 0 {
+			if downCount(t) >= maxDown || len(alive) == 0 {
 				continue
 			}
 			id := pick(alive)

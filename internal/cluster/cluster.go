@@ -60,7 +60,8 @@ type Options struct {
 	// Name is the replicaset name in service discovery.
 	Name string
 	// Dir is the root directory for member state (a subdirectory per
-	// member).
+	// member). When empty, New creates a temp directory and Close removes
+	// it; a caller-supplied Dir is never removed.
 	Dir string
 	// Raft is the per-node Raft config template; ID/Region/StateDir are
 	// filled per member.
@@ -104,13 +105,6 @@ type Options struct {
 	// cluster clock. The chaos harness uses it to give members individually
 	// skewed clocks (clock.Skewed) while the network keeps real time.
 	WrapClock func(id wire.NodeID, c clock.Clock) clock.Clock
-	// ReadWitness, when set, observes every successful read served through
-	// the cluster's readers (readpath.Witness).
-	ReadWitness readpath.Witness
-	// ApplyWorkers sets every MySQL member's replica-apply concurrency
-	// (mysql.Options.ApplyWorkers): 0 keeps the mysql default, 1 forces
-	// serial apply.
-	ApplyWorkers int
 	// CommitPipelineDepth sets every MySQL member's primary commit
 	// pipeline depth (mysql.Options.CommitPipelineDepth): 0 keeps the
 	// mysql default, 1 forces the serial (non-overlapped) pipeline.
@@ -177,6 +171,7 @@ type Cluster struct {
 	registry *discovery.Registry
 	clk      clock.Clock
 	ownsNet  bool
+	ownsDir  bool
 
 	// mu guards the members map values' mutable fields (server/node/down)
 	// against concurrent Crash/Restart and reader access.
@@ -195,7 +190,8 @@ type Cluster struct {
 // New builds and starts every member of the replicaset. No leader exists
 // until Bootstrap (or an election timeout) elects one.
 func New(opts Options, specs []MemberSpec) (*Cluster, error) {
-	if opts.Dir == "" {
+	ownsDir := opts.Dir == ""
+	if ownsDir {
 		dir, err := os.MkdirTemp("", "myraft-cluster-")
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
@@ -214,6 +210,7 @@ func New(opts Options, specs []MemberSpec) (*Cluster, error) {
 		net:      opts.Net,
 		registry: opts.Registry,
 		clk:      opts.Clock,
+		ownsDir:  ownsDir,
 		members:  make(map[wire.NodeID]*Member),
 	}
 	if opts.ReadSampleCap > 0 {
@@ -301,7 +298,6 @@ func (c *Cluster) startMember(m *Member) error {
 		srv, err := mysql.NewServer(mysql.Options{
 			ID:                  m.Spec.ID,
 			Dir:                 m.dir,
-			ApplyWorkers:        c.opts.ApplyWorkers,
 			CommitPipelineDepth: c.opts.CommitPipelineDepth,
 			Engine:              c.opts.Engine,
 			Tracer:              m.tracer,
@@ -730,7 +726,7 @@ func (c *Cluster) LogChecksums(from uint64) (map[wire.NodeID]uint32, error) {
 }
 
 // Close shuts every member down and, if the cluster owns them, the
-// network.
+// network and the state directory.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -747,6 +743,10 @@ func (c *Cluster) Close() {
 	}
 	if c.ownsNet {
 		c.net.Close()
+	}
+	if c.ownsDir {
+		// Best effort: Close has no error to report a failed removal through.
+		_ = os.RemoveAll(c.opts.Dir)
 	}
 }
 

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -499,4 +501,33 @@ func TestLogMaintenanceRotatesAndPurges(t *testing.T) {
 		files := primary.Server().BinlogFiles()
 		return files[0].FirstIndex > 1 || len(files) < 8
 	})
+}
+
+// Close removes a state directory New created itself and leaves a
+// caller-supplied one alone.
+func TestCloseRemovesOnlyOwnedStateDir(t *testing.T) {
+	specs := []MemberSpec{{ID: "n0", Region: "r1", Kind: KindMySQL, Voter: true}}
+
+	owned, err := New(Options{}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := owned.opts.Dir
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("state dir New created is missing while running: %v", err)
+	}
+	owned.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Close left the temp state dir %s behind (stat err = %v)", dir, err)
+	}
+
+	supplied := t.TempDir()
+	c, err := New(Options{Dir: supplied}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if _, err := os.Stat(filepath.Join(supplied, "n0")); err != nil {
+		t.Fatalf("Close removed state under a caller-supplied Dir: %v", err)
+	}
 }

@@ -28,7 +28,7 @@ func (c *Cluster) readerFor(m *Member) (*readpath.Reader, error) {
 	if m == nil || m.down || m.server == nil || m.node == nil {
 		return nil, fmt.Errorf("cluster: member unavailable for reads")
 	}
-	return readpath.NewReader(m.node, m.server, c.readMetrics).SetWitness(c.opts.ReadWitness), nil
+	return readpath.NewReader(m.node, m.server, c.readMetrics), nil
 }
 
 // leaderRead resolves the leader and serves one read through fn, retrying

@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -23,7 +22,7 @@ type RetentionOptions struct {
 	// members to replay. A member further behind than this is sacrificed
 	// to snapshot catch-up rather than holding history hostage.
 	RetentionEntries uint64
-	// Interval is the coordinator period for RunRetention (default 1s).
+	// Interval is the period of multiraft.Runtime.RunRetention (default 1s).
 	Interval time.Duration
 }
 
@@ -110,29 +109,4 @@ func (c *Cluster) PurgeOnce(retentionEntries uint64) (uint64, error) {
 	}
 	c.purgeFloor.Store(floor)
 	return floor, nil
-}
-
-// RunRetention runs the purge coordinator until ctx is done. Rounds
-// without a leader, or with nothing to purge, are skipped silently; the
-// protocol is idempotent and self-healing across leadership changes
-// because the floor is recomputed from live replication state each round.
-//
-// Deprecated: a process should let multiraft.Runtime.RunRetention drive
-// every hosted ring from one scheduler instead of running a ticker per
-// ring; this per-ring loop remains for tests and direct ring embedding.
-func (c *Cluster) RunRetention(ctx context.Context, opts RetentionOptions) {
-	interval := opts.Interval
-	if interval == 0 {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		_, _ = c.PurgeOnce(opts.RetentionEntries)
-	}
 }

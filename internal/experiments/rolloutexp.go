@@ -38,6 +38,7 @@ func Rollout(ctx context.Context, p Params) (*RolloutResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer os.RemoveAll(dir)
 	rs, ctrl, err := baselineStack(ctx, p, dir)
 	if err != nil {
 		return nil, err

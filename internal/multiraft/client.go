@@ -47,6 +47,9 @@ type Client struct {
 	// stale-version rejection. Tests use it to exercise that path
 	// deterministically; it is nil in production.
 	testAfterAdmit func()
+	// testAfterRoute is the read path's twin: it runs between a read's
+	// route resolution and the shard read.
+	testAfterRoute func()
 }
 
 // NewClient creates a routed client with the given simulated client RTT
@@ -85,6 +88,26 @@ func (c *Client) shardClient(shard wire.ShardID) *cluster.Client {
 // serves its data).
 func (c *Client) routedClient(key string) *cluster.Client {
 	return c.shardClient(c.rt.router.ShardFor(key))
+}
+
+// routedRead serves one leveled read from the key's owning shard and
+// re-routes it if the routing table was reloaded meanwhile. A split's
+// cutover is followed by the deletion of the moved rows from the source
+// ring, so a read that resolved the old owner and ran across the cutover
+// could report an acknowledged key missing; an unchanged table version
+// after the read means no cutover was published while it ran. (A reload
+// that did not move this key costs one needless re-read.)
+func (c *Client) routedRead(key string, read func(*cluster.Client) (readpath.Result, error)) (readpath.Result, error) {
+	for {
+		ri := c.rt.router.Route(key)
+		if c.testAfterRoute != nil {
+			c.testAfterRoute()
+		}
+		res, err := read(c.shardClient(ri.Shard))
+		if c.rt.router.Version() == ri.Version {
+			return res, err
+		}
+	}
 }
 
 // Write upserts key=value on the owning shard's primary, retrying across
@@ -159,19 +182,25 @@ func (c *Client) Read(ctx context.Context, key string) ([]byte, bool, error) {
 // ReadLinearizable serves a linearizable (ReadIndex) read from the owning
 // shard's leader.
 func (c *Client) ReadLinearizable(ctx context.Context, key string) (readpath.Result, error) {
-	return c.routedClient(key).ReadLinearizable(ctx, key)
+	return c.routedRead(key, func(cl *cluster.Client) (readpath.Result, error) {
+		return cl.ReadLinearizable(ctx, key)
+	})
 }
 
 // ReadLease serves a leader-lease read from the owning shard.
 func (c *Client) ReadLease(ctx context.Context, key string) (readpath.Result, error) {
-	return c.routedClient(key).ReadLease(ctx, key)
+	return c.routedRead(key, func(cl *cluster.Client) (readpath.Result, error) {
+		return cl.ReadLease(ctx, key)
+	})
 }
 
 // ReadSession serves a session-consistent read for the key from the given
 // member of the owning shard, using the session token accumulated by this
 // client's writes to that shard.
 func (c *Client) ReadSession(ctx context.Context, id wire.NodeID, key string) (readpath.Result, error) {
-	return c.routedClient(key).ReadSession(ctx, id, key)
+	return c.routedRead(key, func(cl *cluster.Client) (readpath.Result, error) {
+		return cl.ReadSession(ctx, id, key)
+	})
 }
 
 // SessionToken reports the session token this client has accumulated on

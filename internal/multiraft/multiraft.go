@@ -50,8 +50,9 @@ type Options struct {
 	// Name prefixes shard replicaset names in service discovery
 	// (default "multiraft"; shard s registers as "<name>/shard-<s>").
 	Name string
-	// Dir is the root state directory (a subdirectory per shard). A temp
-	// directory is created when empty.
+	// Dir is the root state directory (a subdirectory per shard). When
+	// empty, New creates a temp directory and Close removes it; a
+	// caller-supplied Dir is never removed.
 	Dir string
 	// Raft is the per-node config template, applied to every shard.
 	Raft raft.Config
@@ -68,14 +69,6 @@ type Options struct {
 	// usually wants n > 1: the per-txn cost is small but exists, and the
 	// histograms converge quickly even at 1-in-16.
 	TraceSampleEvery int
-	// CommitPipelineDepth is each shard's primary commit pipeline depth
-	// (see cluster.Options.CommitPipelineDepth): 0 keeps the mysql
-	// default, 1 forces the serial pipeline.
-	CommitPipelineDepth int
-	// DisableCoalescing turns off heartbeat coalescing: every shard
-	// heartbeat crosses in its own envelope (the per-shard fallback, and
-	// the baseline for the coalescing experiments).
-	DisableCoalescing bool
 	// OnRoleChange, when set, observes every role transition on every
 	// shard (the chaos harness checks election safety per shard with it).
 	OnRoleChange func(shard wire.ShardID, rc raft.RoleChange)
@@ -84,6 +77,12 @@ type Options struct {
 	// latency). The sync group always stays outermost so it counts every
 	// sync a shard's log writer asks for.
 	WrapLogStore func(id wire.NodeID, store raft.LogStore) raft.LogStore
+	// WrapTransport and WrapClock are cluster.Options' hooks of the same
+	// names, applied to every shard's member on every node: the chaos
+	// harness wraps each shard port in a transport.Fault and gives each
+	// member a clock.Skewed.
+	WrapTransport func(id wire.NodeID, t transport.Transport) transport.Transport
+	WrapClock     func(id wire.NodeID, c clock.Clock) clock.Clock
 }
 
 // Runtime is a running multi-shard process set. It is the process
@@ -91,6 +90,7 @@ type Options struct {
 // and a single-ring deployment is simply Shards: 1.
 type Runtime struct {
 	opts     Options
+	ownsDir  bool
 	net      *transport.Network
 	registry *discovery.Registry
 	clk      clock.Clock
@@ -201,19 +201,20 @@ func New(opts Options) (*Runtime, error) {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real()
 	}
-	if opts.Dir == "" {
-		dir, err := os.MkdirTemp("", "myraft-multiraft-")
-		if err != nil {
-			return nil, fmt.Errorf("multiraft: %w", err)
-		}
-		opts.Dir = dir
-	}
 	if len(opts.Table.Ranges) == 0 {
 		opts.Table = UniformTable(opts.Shards)
 	}
 	router, err := NewRouter(opts.Table, opts.Shards)
 	if err != nil {
 		return nil, err
+	}
+	ownsDir := opts.Dir == ""
+	if ownsDir {
+		dir, err := os.MkdirTemp("", "myraft-multiraft-")
+		if err != nil {
+			return nil, fmt.Errorf("multiraft: %w", err)
+		}
+		opts.Dir = dir
 	}
 
 	netCfg := opts.NetConfig
@@ -222,6 +223,7 @@ func New(opts Options) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		opts:     opts,
+		ownsDir:  ownsDir,
 		net:      transport.New(netCfg, opts.Clock),
 		registry: discovery.NewRegistry(),
 		clk:      opts.Clock,
@@ -238,17 +240,13 @@ func New(opts Options) (*Runtime, error) {
 	if hb == 0 {
 		hb = 500 * time.Millisecond
 	}
-	flush := hb
-	if opts.DisableCoalescing {
-		flush = 0
-	}
 	for _, spec := range opts.Specs {
 		if _, ok := rt.demuxes[spec.ID]; ok {
 			rt.Close()
 			return nil, fmt.Errorf("multiraft: duplicate member %s", spec.ID)
 		}
 		ep := rt.net.Register(spec.ID, spec.Region)
-		rt.demuxes[spec.ID] = transport.NewDemux(ep, opts.Clock, transport.DemuxConfig{FlushInterval: flush})
+		rt.demuxes[spec.ID] = transport.NewDemux(ep, opts.Clock, transport.DemuxConfig{FlushInterval: hb})
 		rt.syncs[spec.ID] = NewSyncGroup()
 		rt.nodeRegs[spec.ID] = metrics.NewRegistry()
 	}
@@ -287,8 +285,9 @@ func (rt *Runtime) newShardCluster(shard wire.ShardID) (*cluster.Cluster, error)
 		Clock:    rt.opts.Clock,
 		Seed:     rt.opts.Seed,
 
-		TraceSampleEvery:    rt.opts.TraceSampleEvery,
-		CommitPipelineDepth: rt.opts.CommitPipelineDepth,
+		TraceSampleEvery: rt.opts.TraceSampleEvery,
+		WrapTransport:    rt.opts.WrapTransport,
+		WrapClock:        rt.opts.WrapClock,
 		Transport: func(id wire.NodeID, _ wire.Region) transport.Transport {
 			return rt.demuxes[id].Shard(shard)
 		},
@@ -563,7 +562,7 @@ func (rt *Runtime) RunRetention(ctx context.Context, opts cluster.RetentionOptio
 }
 
 // Close tears the whole process set down: every shard ring, then the
-// shared demuxes and network.
+// shared demuxes and network, then the state directory if New made it.
 func (rt *Runtime) Close() {
 	for _, c := range rt.shardList() {
 		c.Close()
@@ -572,4 +571,8 @@ func (rt *Runtime) Close() {
 		d.Close()
 	}
 	rt.net.Close()
+	if rt.ownsDir {
+		// Best effort: Close has no error to report a failed removal through.
+		_ = os.RemoveAll(rt.opts.Dir)
+	}
 }

@@ -3,6 +3,8 @@ package multiraft
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -258,5 +260,36 @@ func TestRuntimeCrashRestartAcrossShards(t *testing.T) {
 		if string(res.Value) != "after-restart" {
 			t.Fatalf("n1 shard %d value %q", s, res.Value)
 		}
+	}
+}
+
+// Close removes a state directory New created itself and leaves a
+// caller-supplied one alone.
+func TestCloseRemovesOnlyOwnedStateDir(t *testing.T) {
+	opts := testOptions(t, 2)
+	supplied := opts.Dir
+
+	opts.Dir = ""
+	owned, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := owned.opts.Dir
+	if _, err := os.Stat(filepath.Join(dir, "shard-1")); err != nil {
+		t.Fatalf("state dir New created is missing while running: %v", err)
+	}
+	owned.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Close left the temp state dir %s behind (stat err = %v)", dir, err)
+	}
+
+	opts.Dir = supplied
+	rt, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Close()
+	if _, err := os.Stat(filepath.Join(supplied, "shard-1")); err != nil {
+		t.Fatalf("Close removed state under a caller-supplied Dir: %v", err)
 	}
 }

@@ -492,36 +492,36 @@ func (a *applier) stagePrepare(e *binlog.Entry) (*storage.Txn, error) {
 // through Server.Status and adminapi /status.
 type ApplyStatus struct {
 	// Running reports whether the applier thread is active.
-	Running bool
+	Running bool `json:"running"`
 	// Workers is the configured apply concurrency (1 = serial).
-	Workers int
+	Workers int `json:"workers"`
 	// Position is the highest log index applied to the engine.
-	Position uint64
+	Position uint64 `json:"position"`
 	// CommitIndex is the applier's view of the consensus commit gate.
-	CommitIndex uint64
+	CommitIndex uint64 `json:"commit_index"`
 	// Lag is CommitIndex - Position: committed transactions not yet
 	// applied (what a promotion would have to drain, §3.3 step 2).
-	Lag uint64
+	Lag uint64 `json:"lag"`
 	// BusyWorkers is the number of workers currently staging a
 	// transaction (instantaneous occupancy).
-	BusyWorkers int
+	BusyWorkers int `json:"busy_workers,omitempty"`
 	// AppliedTxns counts data transactions engine-committed by the
 	// applier since server start.
-	AppliedTxns int64
+	AppliedTxns int64 `json:"applied_txns,omitempty"`
 	// TrackedTxns counts transactions routed through the writeset
 	// dependency tracker (parallel batches only).
-	TrackedTxns int64
+	TrackedTxns int64 `json:"tracked_txns,omitempty"`
 	// ConflictFallbacks counts tracked transactions that fell back to
 	// serial ordering (missing/oversized writeset or history overflow).
-	ConflictFallbacks int64
+	ConflictFallbacks int64 `json:"conflict_fallbacks,omitempty"`
 	// FallbackRate is ConflictFallbacks / TrackedTxns (0 when nothing was
 	// tracked).
-	FallbackRate float64
+	FallbackRate float64 `json:"fallback_rate,omitempty"`
 	// ParallelBatches / SerialBatches count scheduling decisions.
-	ParallelBatches int64
-	SerialBatches   int64
+	ParallelBatches int64 `json:"parallel_batches,omitempty"`
+	SerialBatches   int64 `json:"serial_batches,omitempty"`
 	// LastError is the most recent apply failure ("" when healthy).
-	LastError string
+	LastError string `json:"last_error,omitempty"`
 }
 
 // status snapshots the applier's observable state.

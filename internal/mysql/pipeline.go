@@ -447,36 +447,36 @@ func (p *pipeline) failErr() error {
 // Server.PipelineStatus and adminapi /status.
 type PipelineStatus struct {
 	// Depth is the configured in-flight group bound (1 = serial).
-	Depth int
+	Depth int `json:"depth"`
 	// InFlight is the number of groups currently proposed but not yet
 	// engine-committed (instantaneous occupancy, ≤ Depth).
-	InFlight int
+	InFlight int `json:"in_flight"`
 	// QueueLen is the number of client transactions waiting to be drained
 	// into a group.
-	QueueLen int
+	QueueLen int `json:"queue_len,omitempty"`
 	// GroupsProposed counts groups flushed through ProposeTransactionBatch
 	// since server start.
-	GroupsProposed int64
+	GroupsProposed int64 `json:"groups_proposed,omitempty"`
 	// TxnsCommitted / TxnsAborted count pipeline outcomes.
-	TxnsCommitted int64
-	TxnsAborted   int64
+	TxnsCommitted int64 `json:"txns_committed,omitempty"`
+	TxnsAborted   int64 `json:"txns_aborted,omitempty"`
 	// GroupSizeMean / GroupSizeP95 / GroupSizeMax digest the group-size
 	// histogram (transactions per flushed group).
-	GroupSizeMean int64
-	GroupSizeP95  int64
-	GroupSizeMax  int64
+	GroupSizeMean int64 `json:"group_size_mean,omitempty"`
+	GroupSizeP95  int64 `json:"group_size_p95,omitempty"`
+	GroupSizeMax  int64 `json:"group_size_max,omitempty"`
 	// FlushBusyNs / QuorumBusyNs / EngineBusyNs are cumulative
 	// nanoseconds each stage spent occupied (flusher in propose+durable
 	// wait, committer in quorum wait, committer in engine commit).
-	FlushBusyNs  int64
-	QuorumBusyNs int64
-	EngineBusyNs int64
+	FlushBusyNs  int64 `json:"flush_busy_ns,omitempty"`
+	QuorumBusyNs int64 `json:"quorum_busy_ns,omitempty"`
+	EngineBusyNs int64 `json:"engine_busy_ns,omitempty"`
 	// SyncsCoalesced counts engine WAL syncs skipped because more groups
 	// were queued behind the committer; EngineSyncs / EngineNoopSyncs are
 	// the engine's own sync accounting (performed vs clean no-op).
-	SyncsCoalesced  int64
-	EngineSyncs     int64
-	EngineNoopSyncs int64
+	SyncsCoalesced  int64 `json:"syncs_coalesced,omitempty"`
+	EngineSyncs     int64 `json:"engine_syncs,omitempty"`
+	EngineNoopSyncs int64 `json:"engine_noop_syncs,omitempty"`
 }
 
 // status snapshots the pipeline's observable state.

@@ -345,7 +345,7 @@ func (n *Node) run() {
 				n.maybeAutoStepDown(now)
 			default:
 				if n.isVoter(n.cfg.ID) && now.After(n.electionDeadline) {
-					n.startCampaign(n.preOrReal())
+					n.startCampaign(wire.VotePre)
 				}
 			}
 			n.tickProxies(now)
@@ -361,13 +361,6 @@ func (n *Node) run() {
 			}
 		}
 	}
-}
-
-func (n *Node) preOrReal() wire.VoteKind {
-	if n.cfg.DisablePreVote {
-		return wire.VoteReal
-	}
-	return wire.VotePre
 }
 
 // postDonePool recycles the per-call completion channels of post: every

@@ -210,8 +210,6 @@ type Config struct {
 	// longest log (§4.1), so letting it win the first election avoids
 	// split-vote rounds; it then hands leadership to a MySQL voter.
 	ElectionTimeoutBias time.Duration
-	// DisablePreVote turns off Raft pre-elections.
-	DisablePreVote bool
 
 	// Strategy selects the quorum mode (default vanilla Majority;
 	// production MyRaft uses quorum.SingleRegionDynamic).

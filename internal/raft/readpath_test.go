@@ -131,6 +131,19 @@ func (s *heartbeatSpy) Send(to wire.NodeID, msg wire.Message) error {
 // demuxes' flush interval, so no flush ticker can fire: every flush seen
 // is one raft asked for.
 func TestReadIndexFlushesCoalescedHeartbeats(t *testing.T) {
+	t.Run("bare port", func(t *testing.T) {
+		testReadIndexFlushes(t, func(spy *heartbeatSpy, _ clock.Clock) Transport { return spy })
+	})
+	// The chaos harness wraps every shard port in a transport.Fault; the
+	// wrapper must pass the urgent flush through.
+	t.Run("fault-wrapped port", func(t *testing.T) {
+		testReadIndexFlushes(t, func(spy *heartbeatSpy, clk clock.Clock) Transport {
+			return transport.NewFault(spy, 1, clk)
+		})
+	})
+}
+
+func testReadIndexFlushes(t *testing.T, wrap func(*heartbeatSpy, clock.Clock) Transport) {
 	fake := clock.NewFake()
 	demuxes := make(map[wire.NodeID]*transport.Demux)
 	spies := make(map[wire.NodeID]*heartbeatSpy)
@@ -139,7 +152,7 @@ func TestReadIndexFlushesCoalescedHeartbeats(t *testing.T) {
 		t.Cleanup(d.Close)
 		demuxes[ep.ID()] = d
 		spies[ep.ID()] = &heartbeatSpy{ShardPort: d.Shard(0)}
-		return spies[ep.ID()]
+		return wrap(spies[ep.ID()], fake)
 	})
 	n0 := c.elect("n0")
 	d0, spy := demuxes["n0"], spies["n0"]

@@ -56,12 +56,12 @@ type SnapshotSink interface {
 // adminapi /status and the experiment harness.
 type SnapshotStats struct {
 	// Installs is how many snapshots this node installed (follower side).
-	Installs int64
+	Installs int64 `json:"installs,omitempty"`
 	// ChunksSent and BytesSent count outbound transfer volume (leader side).
-	ChunksSent int64
-	BytesSent  int64
+	ChunksSent int64 `json:"chunks_sent,omitempty"`
+	BytesSent  int64 `json:"bytes_sent,omitempty"`
 	// Failures counts provider errors, rejected chunks, and failed installs.
-	Failures int64
+	Failures int64 `json:"failures,omitempty"`
 }
 
 type snapMetrics struct {

@@ -125,23 +125,11 @@ type Result struct {
 	FellBack bool
 }
 
-// Witness observes every successfully completed read: the consistency
-// level used, the key, and the full Result (value, found, consistent
-// index, fallback flag). The chaos harness installs one to record a
-// read trace and machine-check read safety — no linearizable or lease
-// read may return a value older than a previously acknowledged write.
-// Implementations must be safe for concurrent use and fast; they run on
-// the reading goroutine.
-type Witness interface {
-	ObserveRead(key string, res Result)
-}
-
 // Reader serves reads at the three consistency levels against one member.
 type Reader struct {
 	c  Consensus
 	sm StateMachine
 	m  *Metrics
-	w  Witness
 }
 
 // NewReader builds a Reader over one member's consensus node and state
@@ -155,13 +143,6 @@ func NewReader(c Consensus, sm StateMachine, m *Metrics) *Reader {
 
 // Metrics returns the metrics sink this reader records into.
 func (r *Reader) Metrics() *Metrics { return r.m }
-
-// SetWitness installs a read witness (nil removes it) and returns the
-// reader for chaining.
-func (r *Reader) SetWitness(w Witness) *Reader {
-	r.w = w
-	return r
-}
 
 // ReadLinearizable serves a linearizable read via the ReadIndex protocol.
 // Only the leader can serve it; followers fail with the consensus error.
@@ -213,8 +194,5 @@ func (r *Reader) finish(ctx context.Context, key string, start time.Time, res Re
 	}
 	res.Value, res.Found = r.sm.Read(key)
 	r.m.hist(res.Level).Observe(time.Since(start))
-	if r.w != nil {
-		r.w.ObserveRead(key, res)
-	}
 	return res, nil
 }

@@ -226,3 +226,12 @@ func (f *Fault) Send(to wire.NodeID, msg wire.Message) error {
 
 // Recv passes through to the wrapped transport's delivery channel.
 func (f *Fault) Recv() <-chan Envelope { return f.inner.Recv() }
+
+// Flush forwards raft's optional urgent flush (a ReadIndex round asks a
+// heartbeat-buffering ShardPort to ship now), so a fault-wrapped port
+// serves reads at the cadence production does, not at the flush tick.
+func (f *Fault) Flush() {
+	if fl, ok := f.inner.(interface{ Flush() }); ok {
+		fl.Flush()
+	}
+}

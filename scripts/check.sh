@@ -34,7 +34,7 @@ obs	y	write-path tracing + metrics export slice
 pipeline	y	pipelined group-commit slice
 bench	y	durability pipeline bench smoke
 repobench	y	bench/ module vet + tests and a 1 s-per-run smoke of the repo benchmark
-chaos	n	fixed-seed chaos smoke (incl. shard split under load)"
+chaos	n	fixed-seed chaos table (paper ring, 4 shards, split under load)"
 
 # stage_spec maps a test stage to its rows, one per line:
 #   ./pkg                  go test ./pkg
@@ -54,10 +54,13 @@ stage_spec() {
 		echo "race:$RACE_PKGS"
 		;;
 	chaos)
-		# The fixed-seed subset plus the determinism property the repro
-		# workflow depends on, plus the online split under load. A failing
-		# seed prints its own repro command.
-		echo "./internal/chaos=TestChaosSmoke|TestSchedule|TestChaosShardSplitSmoke"
+		# Every fixed-seed table entry, once: TestChaosSmoke's rows are
+		# paper (single ring, seeds 1 7 42 3 11), 4-shard (3 nodes x 4
+		# rings, seeds 1 7 10) and split (the five-action split-under-load
+		# schedule, seeds 1 5), all on the one harness. Plus the schedule
+		# determinism properties, the planted-leak check of the isolation
+		# checker, and the repro command a failing seed prints.
+		echo "./internal/chaos=TestChaosSmoke|TestSchedule|TestIsolationCheck|TestReproCommand"
 		;;
 	bench)
 		echo "bench:.=BenchmarkDurabilityPipeline"
@@ -66,14 +69,13 @@ stage_spec() {
 		# The multi-shard slice across its layers: shard-envelope framing
 		# and demux coalescing, router/sync-group/runtime units, the split
 		# protocol, the 3x16 acceptance scenario with the leader balancer,
-		# the shard-scoped admin server, and the fixed-seed multi-shard and
-		# shard-split chaos smokes.
+		# and the shard-scoped admin server. (The multi-shard and split
+		# chaos runs are rows of the chaos stage's table.)
 		cat <<-EOF
 		./internal/wire=Shard|Coalesced
 		./internal/transport=Demux
 		./internal/multiraft
 		./internal/adminapi=TestMulti|TestSplit|TestShardScoped|TestRuntimeRollup
-		./internal/chaos=TestChaosMultiShardSmoke|TestChaosShardSplitSmoke
 		bench:.=BenchmarkMultiRaftShards
 		EOF
 		;;
@@ -81,14 +83,13 @@ stage_spec() {
 		# The parallel-apply slice across its layers: writeset extraction
 		# and payload framing, dependency tracking and batch scheduling
 		# (the serial-equivalence property tests), the coalesced commit
-		# notifier, the range read the batch applier leans on, and the
-		# fixed-seed chaos smoke with appliers forced wide.
+		# notifier, and the range read the batch applier leans on. (Every
+		# chaos run applies in parallel and checks serial equivalence.)
 		cat <<-EOF
 		./internal/storage=Writeset|TxnPayload
 		./internal/mysql=Parallel|Waiters|ApplyStatus
 		./internal/raft=CommitNotifier
 		./internal/binlog=Entries
-		./internal/chaos=TestChaosParallelApplySmoke
 		bench:./internal/mysql=BenchmarkParallelApply
 		EOF
 		;;
@@ -109,14 +110,13 @@ stage_spec() {
 		# The pipelined group-commit slice across its layers: batched raft
 		# ingress, the flusher/committer overlap with its demotion-race and
 		# depth-1-serial contracts, engine sync coalescing, the loopback +
-		# drop-counter transport satellites, the fixed-seed chaos smoke
-		# with the pipeline opened wide, and the depth 1-vs-4 A/B bench.
+		# drop-counter transport satellites, and the depth 1-vs-4 A/B
+		# bench. (Every chaos run commits through the depth-4 pipeline.)
 		cat <<-EOF
 		./internal/raft=ProposeBatch
 		./internal/mysql=Pipeline|Demotion
 		./internal/storage=Sync
 		./internal/transport=TCPDrop|TCPLoopback
-		./internal/chaos=TestChaosPipelinedCommitSmoke
 		bench:.=BenchmarkGroupCommitPipeline
 		EOF
 		;;
