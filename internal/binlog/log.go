@@ -98,12 +98,20 @@ type Log struct {
 	dirty    bool  // writes since the last successful fsync
 	unsynced int64 // bytes appended since the last successful fsync
 
+	// enc is Append's reusable encode buffer, kept between appends unless
+	// an entry grew it past maxRetainedEncode.
+	enc []byte
+
 	// Lifetime I/O accounting, surfaced by Stats for the /metrics scrape.
 	statAppends     int64 // entries appended
 	statAppendBytes int64 // encoded bytes appended
 	statSyncs       int64 // fsyncs that actually hit the disk
 	statNoopSyncs   int64 // Sync calls coalesced away by the dirty check
 }
+
+// maxRetainedEncode bounds the encode buffer a Log keeps between appends,
+// so one multi-megabyte transaction does not pin its size for good.
+const maxRetainedEncode = 1 << 20
 
 // Stats is a point-in-time snapshot of the log's lifetime I/O counters.
 type Stats struct {
@@ -447,7 +455,11 @@ func (l *Log) Append(e *Entry) error {
 	if e.OpID.Term < l.lastOpID.Term {
 		return fmt.Errorf("%w: term %d below tail term %d", ErrOutOfOrder, e.OpID.Term, l.lastOpID.Term)
 	}
-	buf := encodeEntry(e)
+	// The writer copies buf out, so one scratch buffer serves every append.
+	buf := appendEntry(l.enc[:0], e)
+	if cap(buf) <= maxRetainedEncode {
+		l.enc = buf
+	}
 	if _, err := l.w.Write(buf); err != nil {
 		return fmt.Errorf("binlog: append: %w", err)
 	}
@@ -1010,6 +1022,14 @@ func (l *Log) GTIDSet() *gtid.Set {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.gtids.Clone()
+}
+
+// NextGTID returns the sequence number after the highest one the executed
+// set holds for u, without copying the set.
+func (l *Log) NextGTID(u gtid.UUID) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.gtids.NextID(u)
 }
 
 // Crash simulates a process crash: the active file is closed without

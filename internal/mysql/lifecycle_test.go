@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"myraft/internal/binlog"
+	"myraft/internal/gtid"
 	"myraft/internal/opid"
 	"myraft/internal/storage"
 )
@@ -251,7 +252,7 @@ func TestCheckpointExcludesUnappliedGTIDs(t *testing.T) {
 	for i := 6; i <= 7; i++ {
 		if _, err := f.ProposeTransaction(
 			storage.EncodeChanges([]storage.RowChange{{Key: "late", After: []byte("x")}}),
-			s.nextGTIDs(1)[0],
+			gtid.GTID{Source: s.opts.ServerUUID, ID: s.log.NextGTID(s.opts.ServerUUID)},
 		); err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"myraft/internal/gtid"
 	"myraft/internal/metrics"
 	"myraft/internal/opid"
 	"myraft/internal/storage"
@@ -14,32 +15,51 @@ import (
 )
 
 // pipeline implements the 3-stage group commit of §3.4, pipelined across
-// groups. Client threads enqueue prepared transactions; two goroutines
-// walk the stages:
+// groups. Client threads enqueue prepared transactions; the stages are:
 //
-//   - The flusher (stage 1) drains the queue into groups and proposes
-//     each group through Raft in a single batched event-loop post, which
-//     assigns OpIDs and writes the binlog; it waits for the group's local
-//     durability point and hands the group to the committer.
-//   - The committer (stages 2–3) waits for Raft consensus commit of the
-//     group's LAST transaction (consensus on the last one implies all),
-//     then commits the prepared transactions to the engine in order and
-//     releases their clients.
+//   - Flush (the flusher goroutine): drain the queue into a group, assign
+//     the group's GTIDs, and propose it through Raft in one batched
+//     event-loop post, which assigns OpIDs and queues the binlog append.
+//     The flusher hands the group to the committer and drains the queue
+//     again at once; it never waits for a disk.
+//   - Sync (the consensus layer's log writer, not a goroutine of this
+//     type): every entry queued while an fsync is in flight shares the
+//     next one, so one flush covers all groups proposed meanwhile — the
+//     role MySQL's sync-stage queue plays. Replication to the quorum runs
+//     beside it.
+//   - Commit (the committer goroutine): wait until the group's LAST
+//     entry is both locally durable and consensus-committed (the last
+//     implies all), then commit the prepared transactions to the engine
+//     in order and release their clients.
 //
-// The two are connected by a bounded in-flight-groups channel: the
-// flusher may propose group N+1 while group N still awaits quorum, so a
-// quorum round-trip is amortized across up to CommitPipelineDepth groups
-// instead of gating one group per round-trip. Depth 1 degenerates to the
-// fully serial pipeline (the flusher cannot start a group before the
-// previous one engine-commits — the pre-pipelining behavior).
+// Flusher and committer are connected by a bounded in-flight-groups
+// channel: up to CommitPipelineDepth groups are proposed and not yet
+// engine-committed, so the local fsync and the quorum round-trip of group
+// N overlap the flush of group N+1. A slot is taken before the propose and
+// returned after the engine commit, so depth 1 is the fully serial
+// pipeline: no group is proposed before the previous one engine-commits.
+//
+// Engine commit waits for local durability even when the in-region
+// followers form the quorum first: the binlog is the durability source
+// (§3.4), a crash tears its unsynced tail off, and the applier restarts
+// from the engine's last-committed OpID — an engine ahead of the local
+// binlog would skip entries the log no longer holds.
+//
+// GTIDs come from a flusher-owned cursor (gtidNext). The binlog append of
+// a proposed group is asynchronous, so the log's executed set may trail
+// the groups in flight and cannot be re-read per group; the cursor is
+// re-seeded from it only when it is known to be complete for this
+// server's UUID — no group in flight — or when the Replicator changed,
+// and is rewound to "last appended + 1" when a proposal appends only a
+// prefix. GTIDs therefore stay unique and, absent truncation, contiguous.
 //
 // Ordering invariants survive the overlap because the committer stays
 // single and strictly FIFO: engine commits happen in log order with no
 // gaps, which the applier's restart cursor depends on (§3.3 step 5). On
-// demotion mid-pipeline every queued group fails its stage-2 wait and
-// re-checks the commit marker per transaction, exactly like the serial
-// pipeline did: transactions at or below the marker are committed (they
-// are consensus-committed and durable on a quorum), the rest roll back.
+// demotion mid-pipeline every queued group fails its commit-stage wait
+// and re-checks the commit marker per transaction: transactions at or
+// below the marker (and locally durable) are committed (they are
+// consensus-committed and durable on a quorum), the rest roll back.
 //
 // The pipeline — not the submitting client — owns a transaction once it
 // is enqueued: a client whose context expires mid-wait simply stops
@@ -47,10 +67,11 @@ import (
 // (MySQL semantics for a disconnected client) or rolls back if consensus
 // fails.
 //
-// Stage 2 deliberately has no timeout: on a leader that cannot reach its
-// quorum, commits block until the partition heals or leadership is lost —
-// the paper's "consistency over availability" choice (§4.1). The
-// consensus layer fails the wait on demotion, crash or shutdown.
+// The commit stage deliberately has no timeout: on a leader that cannot
+// reach its quorum, commits block until the partition heals or leadership
+// is lost — the paper's "consistency over availability" choice (§4.1).
+// The consensus layer fails the waits on demotion, truncation, crash or
+// shutdown.
 type pipeline struct {
 	s     *Server
 	depth int
@@ -78,6 +99,12 @@ type pipeline struct {
 	// goroutine only; see maybeSync / maxCoalescedSyncs).
 	skippedSyncs int
 
+	// gtidNext is the next GTID sequence number for this server's UUID and
+	// gtidRepl the Replicator it was seeded under (flusher goroutine only;
+	// see the type comment for the invariant).
+	gtidNext int64
+	gtidRepl Replicator
+
 	// Stats (adminapi /status, /metrics, myraftctl top).
 	inflightGroups atomic.Int32
 	groupsProposed atomic.Int64
@@ -90,9 +117,9 @@ type pipeline struct {
 	groupSizes     *metrics.IntHistogram
 }
 
-// commitGroup is one flushed group in flight between the flusher and the
-// committer: every transaction has its OpID assigned and the group is
-// locally durable through its last entry.
+// commitGroup is one proposed group in flight between the flusher and the
+// committer: every transaction has its OpID assigned; the group is not
+// yet known to be durable or consensus-committed.
 type commitGroup struct {
 	repl Replicator
 	txns []*pendingTxn
@@ -209,11 +236,11 @@ func (p *pipeline) flusher() {
 	}
 }
 
-// flushGroup runs stage 1 for one group: acquire an in-flight slot,
-// propose the whole group in one batched consensus round-trip, wait for
-// the group's local durability point, and hand it to the committer. It
-// returns false only when the pipeline was poisoned before the group
-// could be proposed (the group's transactions are aborted).
+// flushGroup runs the flush stage for one group: acquire an in-flight
+// slot, assign GTIDs, propose the whole group in one batched consensus
+// round-trip, and hand it to the committer. It returns false only when the
+// pipeline was poisoned before the group could be proposed (the group's
+// transactions are aborted).
 func (p *pipeline) flushGroup(repl Replicator, group []*pendingTxn) bool {
 	select {
 	case p.slots <- struct{}{}:
@@ -225,18 +252,24 @@ func (p *pipeline) flushGroup(repl Replicator, group []*pendingTxn) bool {
 		return false
 	}
 	start := time.Now()
-	// Commit-time GTID assignment for the whole group at once. Reading
-	// the executed set once per group is safe because the flusher waits
-	// for local durability below before forming the next group, and
-	// durability implies the binlog append — the set always covers every
-	// previously flushed group by the time it is read again.
-	gtids := p.s.nextGTIDs(len(group))
+	defer func() { p.flushBusyNs.Add(time.Since(start).Nanoseconds()) }()
+	// Commit-time GTID assignment for the whole group at once, from the
+	// flusher's cursor. With nothing in flight every earlier group's binlog
+	// append has landed (or was truncated away), so the log's executed set
+	// is complete and the cursor re-seeds from it.
+	if p.inflightGroups.Load() == 0 || repl != p.gtidRepl {
+		p.gtidNext = p.s.log.NextGTID(p.s.opts.ServerUUID)
+		p.gtidRepl = repl
+	}
 	reqs := make([]TxnProposal, len(group))
 	for i, pt := range group {
 		// The payload carries the transaction's writeset ahead of the row
 		// changes so replica appliers can schedule non-conflicting
 		// transactions in parallel without decoding the rows.
-		reqs[i] = TxnProposal{Payload: storage.EncodeTxnPayload(pt.txn.Changes()), GTID: gtids[i]}
+		reqs[i] = TxnProposal{
+			Payload: storage.EncodeTxnPayload(pt.txn.Changes()),
+			GTID:    gtid.GTID{Source: p.s.opts.ServerUUID, ID: p.gtidNext + int64(i)},
+		}
 	}
 	// Sampled groups get a trace span. Arming it hands it to the raft
 	// propose path (which runs synchronously under the batch call) so the
@@ -250,6 +283,9 @@ func (p *pipeline) flushGroup(repl Replicator, group []*pendingTxn) bool {
 		p.s.tracer.Arm(sp)
 	}
 	ops, err := repl.ProposeTransactionBatch(reqs)
+	// Only the appended prefix consumed its GTIDs; the rest are handed out
+	// again.
+	p.gtidNext += int64(len(ops))
 	flushed := group[:len(ops)]
 	for i, pt := range flushed {
 		pt.op = ops[i]
@@ -265,25 +301,12 @@ func (p *pipeline) flushGroup(repl Replicator, group []*pendingTxn) bool {
 		<-p.slots
 		return true
 	}
-	last := flushed[len(flushed)-1]
 	if sp != nil {
+		last := flushed[len(flushed)-1]
 		sp.Observe(trace.StagePropose, time.Since(t0))
 		last.span = sp
 		last.proposedAt = time.Now()
 	}
-	// One durability point per group: instead of fsyncing inline (which
-	// would serialize the flusher behind the disk), wait for the
-	// consensus layer's log writer to report the group's last entry
-	// durable. The writer groups fsyncs across everything queued behind
-	// it, so under load one flush covers several pipeline groups.
-	if err := repl.WaitDurable(context.Background(), last.op.Index); err != nil {
-		for _, pt := range flushed {
-			p.abort(pt, err)
-		}
-		<-p.slots
-		return true
-	}
-	p.flushBusyNs.Add(time.Since(start).Nanoseconds())
 	p.groupsProposed.Add(1)
 	p.groupSizes.Observe(int64(len(flushed)))
 	p.inflightGroups.Add(1)
@@ -293,8 +316,8 @@ func (p *pipeline) flushGroup(repl Replicator, group []*pendingTxn) bool {
 	return true
 }
 
-// committer is the stages-2–3 loop: strictly FIFO over flushed groups, so
-// the engine commit sequence is exactly the log order regardless of
+// committer is the commit-stage loop: strictly FIFO over proposed groups,
+// so the engine commit sequence is exactly the log order regardless of
 // pipeline depth.
 func (p *pipeline) committer() {
 	defer close(p.done)
@@ -305,27 +328,43 @@ func (p *pipeline) committer() {
 	}
 }
 
-// commitGroup walks one flushed group through the quorum wait and the
-// engine commit.
+// commitGroup walks one proposed group through the durability and quorum
+// waits and the engine commit.
 func (p *pipeline) commitGroup(g *commitGroup) {
 	flushed := g.txns
 	last := flushed[len(flushed)-1]
 
-	// Stage 2 — wait for consensus commit of the group's last entry. The
-	// consensus layer resolves this wait on commit, demotion, or
-	// shutdown; there is deliberately no client-side timeout here (see
-	// the type comment).
+	// Wait for the group's last entry to be locally durable — the log
+	// writer's fsync covers everything queued behind it, so under load one
+	// flush resolves this wait for several groups — and consensus
+	// committed. The consensus layer resolves both waits on success,
+	// demotion, truncation or shutdown; there is deliberately no
+	// client-side timeout here (see the type comment).
 	start := time.Now()
-	err := g.repl.WaitCommitted(context.Background(), last.op.Index)
+	ctx := context.Background()
+	err := g.repl.WaitDurable(ctx, last.op.Index)
+	if err == nil {
+		err = g.repl.WaitCommitted(ctx, last.op.Index)
+	}
 	p.quorumBusyNs.Add(time.Since(start).Nanoseconds())
 	if err != nil {
-		// Consensus failed for the tail; transactions at or below the
-		// actual commit marker may still be in — re-check individually
-		// so a partial group is not spuriously aborted.
+		// The tail failed; transactions at or below the actual commit
+		// marker may still be in — re-check individually so a partial
+		// group is not spuriously aborted. The committed prefix still
+		// waits for its own local durability (committed entries are never
+		// truncated, so the wait ends with the next fsync or the log's
+		// failure).
 		commit := g.repl.CommitIndex()
+		n := 0
+		for n < len(flushed) && flushed[n].op.Index <= commit {
+			n++
+		}
+		if n > 0 && g.repl.WaitDurable(ctx, flushed[n-1].op.Index) != nil {
+			n = 0
+		}
 		healthy := true
-		for _, pt := range flushed {
-			if pt.op.Index <= commit && healthy {
+		for i, pt := range flushed {
+			if i < n && healthy {
 				healthy = p.engineCommit(pt)
 			} else {
 				p.abort(pt, err)
@@ -334,7 +373,7 @@ func (p *pipeline) commitGroup(g *commitGroup) {
 		return
 	}
 
-	// Stage 3 — storage engine commit, strictly in group (= log) order.
+	// Storage engine commit, strictly in group (= log) order.
 	// If one commit fails mid-group (a concurrent demotion rolled the
 	// prepared transaction back), the LATER transactions must not commit
 	// either: the engine's last-committed OpID is the applier's restart
@@ -466,8 +505,10 @@ type PipelineStatus struct {
 	GroupSizeP95  int64 `json:"group_size_p95,omitempty"`
 	GroupSizeMax  int64 `json:"group_size_max,omitempty"`
 	// FlushBusyNs / QuorumBusyNs / EngineBusyNs are cumulative
-	// nanoseconds each stage spent occupied (flusher in propose+durable
-	// wait, committer in quorum wait, committer in engine commit).
+	// nanoseconds each goroutine spent occupied: the flusher assigning
+	// GTIDs and proposing (it never waits for a disk), the committer
+	// waiting for local durability and then the quorum, and the committer
+	// in engine commit.
 	FlushBusyNs  int64 `json:"flush_busy_ns,omitempty"`
 	QuorumBusyNs int64 `json:"quorum_busy_ns,omitempty"`
 	EngineBusyNs int64 `json:"engine_busy_ns,omitempty"`

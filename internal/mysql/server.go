@@ -98,11 +98,11 @@ type Options struct {
 	ApplyWorkers int
 	// CommitPipelineDepth bounds how many proposed-but-not-engine-committed
 	// commit groups the primary's write pipeline keeps in flight: the
-	// flusher proposes group N+1 while group N still awaits quorum or the
-	// engine. 0 picks the default; 1 forces the fully serial pipeline
-	// (flush, quorum and engine commit of a group complete before the next
-	// group's flush starts). Engine commits stay strictly log-ordered at
-	// any depth.
+	// flusher proposes group N+1 while group N still awaits its local
+	// fsync, the quorum or the engine. 0 picks the default; 1 forces the
+	// fully serial pipeline (flush, sync, quorum and engine commit of a
+	// group complete before the next group's flush starts). Engine commits
+	// stay strictly log-ordered at any depth.
 	CommitPipelineDepth int
 	// Tracer, when set, samples write-path transactions: the primary's
 	// commit pipeline observes propose/commit/engine-commit stages, the
@@ -121,8 +121,8 @@ const defaultApplyWorkers = 4
 // defaultCommitPipelineDepth is the in-flight commit-group bound when
 // Options.CommitPipelineDepth is zero. Overlap is on by default: the
 // committer keeps engine commits strictly log-ordered at any depth, so
-// depth is a pure throughput knob (it amortizes the quorum round-trip
-// across groups without reordering anything).
+// depth is a pure throughput knob (it amortizes the local fsync and the
+// quorum round-trip across groups without reordering anything).
 const defaultCommitPipelineDepth = 4
 
 // Server is one simulated MySQL instance.
@@ -293,21 +293,6 @@ func (s *Server) Delete(ctx context.Context, key string) (opid.OpID, error) {
 	return s.ExecuteWrite(ctx, func(t *storage.Txn) error {
 		return t.Delete(key)
 	})
-}
-
-// nextGTIDs assigns the next n consecutive GTIDs for this server's UUID
-// at commit time. The executed set is read once per commit group; the
-// pipeline's flusher is the only caller and waits for each group's binlog
-// durability before forming the next, so the set always covers every
-// previously assigned GTID by the next read.
-func (s *Server) nextGTIDs(n int) []gtid.GTID {
-	set := s.log.GTIDSet()
-	next := set.NextID(s.opts.ServerUUID)
-	gs := make([]gtid.GTID, n)
-	for i := range gs {
-		gs[i] = gtid.GTID{Source: s.opts.ServerUUID, ID: next + int64(i)}
-	}
-	return gs
 }
 
 // FlushBinaryLogs rotates the binlog through a replicated rotate event

@@ -30,6 +30,24 @@ type fakeReplicator struct {
 	waiters    []chan struct{}
 	proposeErr error
 	failErr    error // fails pending and future WaitCommitted calls
+
+	// Durability control. By default WaitDurable fsyncs inline; with
+	// manualDurable it parks until releaseDurable covers the index or
+	// failDurable fails everything above the durable cursor, as the raft
+	// log writer and a truncation would.
+	manualDurable bool
+	durable       uint64
+	durableErr    error
+	durableParked uint64 // highest index a WaitDurable has parked on
+
+	// proposeGate, while non-nil, parks ProposeTransactionBatch (the
+	// flusher) until closed; proposeParked reports a caller parked there.
+	proposeGate   chan struct{}
+	proposeParked bool
+	// partialAfter, when > 0, makes the next batch longer than it append
+	// only that many entries and return partialErr (one shot).
+	partialAfter int
+	partialErr   error
 }
 
 func newFakeReplicator(s *Server) *fakeReplicator {
@@ -57,11 +75,22 @@ func (f *fakeReplicator) ProposeTransaction(payload []byte, g gtid.GTID) (opid.O
 
 func (f *fakeReplicator) ProposeTransactionBatch(reqs []TxnProposal) ([]opid.OpID, error) {
 	f.mu.Lock()
+	if gate := f.proposeGate; gate != nil {
+		f.proposeParked = true
+		f.mu.Unlock()
+		<-gate
+		f.mu.Lock()
+		f.proposeParked = false
+	}
 	defer f.mu.Unlock()
 	var ops []opid.OpID
-	for _, r := range reqs {
+	for i, r := range reqs {
 		if f.proposeErr != nil {
 			return ops, f.proposeErr
+		}
+		if f.partialAfter > 0 && len(reqs) > f.partialAfter && i == f.partialAfter {
+			f.partialAfter = 0
+			return ops, f.partialErr
 		}
 		op := opid.OpID{Term: f.term, Index: f.next}
 		e := &wire.LogEntry{OpID: op, Kind: 1, HasGTID: true, GTID: r.GTID, Payload: r.Payload}
@@ -121,8 +150,64 @@ func (f *fakeReplicator) WaitCommitted(ctx context.Context, index uint64) error 
 // fail aborts pending and future consensus waits, as the raft layer does
 // on demotion or shutdown.
 func (f *fakeReplicator) fail(err error) {
+	f.wake(func() { f.failErr = err })
+}
+
+// WaitDurable syncs the binlog inline by default: the fake has no async
+// writer, so "durable" is simply "fsynced now". In manualDurable mode it
+// parks until the test moves the durable cursor.
+func (f *fakeReplicator) WaitDurable(ctx context.Context, index uint64) error {
+	for {
+		f.mu.Lock()
+		if !f.manualDurable {
+			f.mu.Unlock()
+			return f.s.Log().Sync()
+		}
+		if f.durable >= index {
+			f.mu.Unlock()
+			return nil
+		}
+		if f.durableErr != nil {
+			err := f.durableErr
+			f.mu.Unlock()
+			return err
+		}
+		if index > f.durableParked {
+			f.durableParked = index
+		}
+		ch := make(chan struct{})
+		f.waiters = append(f.waiters, ch)
+		f.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// releaseDurable fsyncs the binlog and advances the durable cursor
+// (manualDurable mode), waking parked waits.
+func (f *fakeReplicator) releaseDurable(index uint64) {
+	_ = f.s.Log().Sync()
+	f.wake(func() {
+		if index > f.durable {
+			f.durable = index
+		}
+	})
+}
+
+// failDurable fails pending and future durability waits above the durable
+// cursor, as a truncation of the unsynced tail does.
+func (f *fakeReplicator) failDurable(err error) {
+	f.wake(func() { f.durableErr = err })
+}
+
+// wake applies change under the lock and wakes every parked wait to
+// re-evaluate.
+func (f *fakeReplicator) wake(change func()) {
 	f.mu.Lock()
-	f.failErr = err
+	change()
 	ws := f.waiters
 	f.waiters = nil
 	f.mu.Unlock()
@@ -131,11 +216,27 @@ func (f *fakeReplicator) fail(err error) {
 	}
 }
 
-// WaitDurable syncs the binlog inline: the fake has no async writer, so
-// "durable" is simply "fsynced now", which preserves the pipeline's
-// one-durability-point-per-group behaviour for these tests.
-func (f *fakeReplicator) WaitDurable(ctx context.Context, index uint64) error {
-	return f.s.Log().Sync()
+// parkedOnDurable reports whether a WaitDurable has parked on index (or
+// beyond).
+func (f *fakeReplicator) parkedOnDurable(index uint64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.durableParked >= index
+}
+
+// gatePropose parks the next ProposeTransactionBatch until the returned
+// function is called.
+func (f *fakeReplicator) gatePropose() (open func()) {
+	gate := make(chan struct{})
+	f.mu.Lock()
+	f.proposeGate = gate
+	f.mu.Unlock()
+	return func() {
+		f.mu.Lock()
+		f.proposeGate = nil
+		f.mu.Unlock()
+		close(gate)
+	}
 }
 
 func (f *fakeReplicator) CommitIndex() uint64 {
@@ -154,16 +255,11 @@ func (f *fakeReplicator) lastIndex() uint64 {
 // release advances the commit marker (manual mode) and signals waiters
 // and the server's applier gate.
 func (f *fakeReplicator) release(index uint64) {
-	f.mu.Lock()
-	if index > f.commit {
-		f.commit = index
-	}
-	ws := f.waiters
-	f.waiters = nil
-	f.mu.Unlock()
-	for _, ch := range ws {
-		close(ch)
-	}
+	f.wake(func() {
+		if index > f.commit {
+			f.commit = index
+		}
+	})
 	f.s.OnCommitAdvance(index)
 }
 

@@ -11,7 +11,7 @@
 package quorum
 
 import (
-	"sort"
+	"slices"
 
 	"myraft/internal/wire"
 )
@@ -174,31 +174,139 @@ func (Grid) ElectionSatisfied(cfg wire.Config, _, _ wire.Region, votes map[wire.
 	return gridSatisfied(cfg, votes)
 }
 
-// CommittedIndex returns the highest log index whose acknowledgement set
-// satisfies the data-commit quorum, given each voter's match index (the
-// highest entry known replicated to it, with the leader's own last index
-// included). It works for any Strategy by testing candidate indexes in
-// descending order.
-func CommittedIndex(s Strategy, cfg wire.Config, leaderRegion wire.Region, match map[wire.NodeID]uint64) uint64 {
-	// Candidate committed indexes are exactly the distinct match values.
-	values := make([]uint64, 0, len(match))
-	seen := make(map[uint64]bool, len(match))
-	for _, v := range match {
-		if v > 0 && !seen[v] {
-			seen[v] = true
-			values = append(values, v)
+// Voters is the voter layout of one Config — who votes, grouped by region
+// — computed once per membership change so that the leader's per-ack
+// commit recompute builds nothing. A match vector passed alongside it
+// holds one match index per member of that Config, in Members order; the
+// entries of non-voters are ignored by the built-in strategies.
+type Voters struct {
+	cfg     wire.Config
+	all     []int         // positions in cfg.Members of every voter
+	regions []wire.Region // distinct voter regions, first-seen order
+	groups  [][]int       // per region, the positions of its voters
+}
+
+// NewVoters lays out cfg, which the caller must not modify afterwards.
+func NewVoters(cfg wire.Config) *Voters {
+	v := &Voters{cfg: cfg}
+	for i, m := range cfg.Members {
+		if !m.Voter {
+			continue
+		}
+		v.all = append(v.all, i)
+		r := 0
+		for r < len(v.regions) && v.regions[r] != m.Region {
+			r++
+		}
+		if r == len(v.regions) {
+			v.regions = append(v.regions, m.Region)
+			v.groups = append(v.groups, nil)
+		}
+		v.groups[r] = append(v.groups[r], i)
+	}
+	return v
+}
+
+// group returns the voter positions of region r (nil if it has none).
+func (v *Voters) group(r wire.Region) []int {
+	for i, vr := range v.regions {
+		if vr == r {
+			return v.groups[i]
 		}
 	}
-	sort.Slice(values, func(i, j int) bool { return values[i] > values[j] })
-	for _, v := range values {
+	return nil
+}
+
+// watermark returns the highest index replicated to a strict majority of
+// group: the (len/2+1)-th largest of its match values, 0 when the group is
+// empty (a quorum nobody can vote in commits nothing). Groups are a
+// handful of members, so it counts instead of sorting a copy.
+func watermark(match []uint64, group []int) uint64 {
+	need := len(group)/2 + 1
+	var best uint64
+	for _, i := range group {
+		x := match[i]
+		if x <= best {
+			continue
+		}
+		n := 0
+		for _, j := range group {
+			if match[j] >= x {
+				n++
+			}
+		}
+		if n >= need {
+			best = x
+		}
+	}
+	return best
+}
+
+// CommittedIndex returns the highest log index whose acknowledgement set
+// satisfies s's data-commit quorum, given each member's match index (the
+// highest entry known durable on it, the leader's own included). The
+// built-in strategies are all majorities within groups of voters, so their
+// answer is a composition of group watermarks and allocates nothing; any
+// other Strategy is asked about candidate indexes one by one.
+func CommittedIndex(s Strategy, v *Voters, leaderRegion wire.Region, match []uint64) uint64 {
+	switch s.(type) {
+	case Majority:
+		return watermark(match, v.all)
+	case SingleRegionDynamic:
+		return watermark(match, v.group(leaderRegion))
+	case StaticAnyRegion:
+		var best uint64
+		for _, g := range v.groups {
+			best = max(best, watermark(match, g))
+		}
+		return best
+	case Grid:
+		// The highest region watermark that a majority of regions reach.
+		// Watermarks are recomputed per comparison rather than kept in a
+		// scratch slice: a handful of regions of a handful of voters.
+		need := len(v.groups)/2 + 1
+		var best uint64
+		for _, g := range v.groups {
+			w := watermark(match, g)
+			if w <= best {
+				continue
+			}
+			n := 0
+			for _, h := range v.groups {
+				if watermark(match, h) >= w {
+					n++
+				}
+			}
+			if n >= need {
+				best = w
+			}
+		}
+		return best
+	}
+	return committedIndexByAcks(s, v.cfg, leaderRegion, match)
+}
+
+// committedIndexByAcks is CommittedIndex for an arbitrary Strategy (the
+// quorum fixer's override, and the oracle the built-in paths are tested
+// against): the candidate committed indexes are exactly the distinct
+// match values, tested against DataCommitSatisfied in descending order.
+func committedIndexByAcks(s Strategy, cfg wire.Config, leaderRegion wire.Region, match []uint64) uint64 {
+	values := make([]uint64, 0, len(match))
+	for _, m := range match {
+		if m > 0 && !slices.Contains(values, m) {
+			values = append(values, m)
+		}
+	}
+	slices.Sort(values)
+	for i := len(values) - 1; i >= 0; i-- {
 		acks := make(map[wire.NodeID]bool, len(match))
-		for id, m := range match {
-			if m >= v {
-				acks[id] = true
+		for j, m := range match {
+			if m >= values[i] {
+				acks[cfg.Members[j].ID] = true
 			}
 		}
 		if s.DataCommitSatisfied(cfg, leaderRegion, acks) {
-			return v
+			return values[i]
 		}
 	}
 	return 0
@@ -208,19 +316,10 @@ func CommittedIndex(s Strategy, cfg wire.Config, leaderRegion wire.Region, match
 // majority of that region's voters. FlexiRaft maintains these watermarks
 // to commit from the in-region quorum (§4.1) and to gate log purging until
 // entries have been shipped out of region (§A.1).
-func RegionWatermarks(cfg wire.Config, match map[wire.NodeID]uint64) map[wire.Region]uint64 {
-	out := make(map[wire.Region]uint64)
-	for _, r := range cfg.Regions() {
-		voters := cfg.VotersInRegion(r)
-		idxs := make([]uint64, 0, len(voters))
-		for _, m := range voters {
-			idxs = append(idxs, match[m.ID])
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] > idxs[j] })
-		need := len(voters)/2 + 1
-		if need <= len(idxs) {
-			out[r] = idxs[need-1]
-		}
+func (v *Voters) RegionWatermarks(match []uint64) map[wire.Region]uint64 {
+	out := make(map[wire.Region]uint64, len(v.regions))
+	for i, r := range v.regions {
+		out[r] = watermark(match, v.groups[i])
 	}
 	return out
 }

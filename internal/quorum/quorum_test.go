@@ -186,6 +186,19 @@ func TestEmptyConfigNeverSatisfied(t *testing.T) {
 	}
 }
 
+// matchVector lays a per-node match map out in cfg.Members order.
+func matchVector(cfg wire.Config, match map[wire.NodeID]uint64) []uint64 {
+	out := make([]uint64, len(cfg.Members))
+	for i, m := range cfg.Members {
+		out[i] = match[m.ID]
+	}
+	return out
+}
+
+func committed(s Strategy, cfg wire.Config, leaderRegion wire.Region, match map[wire.NodeID]uint64) uint64 {
+	return CommittedIndex(s, NewVoters(cfg), leaderRegion, matchVector(cfg, match))
+}
+
 func TestCommittedIndexMajority(t *testing.T) {
 	cfg := wire.Config{Members: []wire.Member{
 		{ID: "a", Region: "r1", Voter: true},
@@ -195,7 +208,7 @@ func TestCommittedIndexMajority(t *testing.T) {
 		{ID: "e", Region: "r3", Voter: true},
 	}}
 	match := map[wire.NodeID]uint64{"a": 10, "b": 7, "c": 5, "d": 3, "e": 1}
-	if got := CommittedIndex(Majority{}, cfg, "r1", match); got != 5 {
+	if got := committed(Majority{}, cfg, "r1", match); got != 5 {
 		t.Fatalf("majority committed index = %d, want 5 (median)", got)
 	}
 }
@@ -208,19 +221,19 @@ func TestCommittedIndexSingleRegionDynamic(t *testing.T) {
 		{ID: "remote", Region: "r2", Voter: true},
 	}}
 	match := map[wire.NodeID]uint64{"leader": 100, "lt1": 99, "lt2": 4, "remote": 2}
-	if got := CommittedIndex(SingleRegionDynamic{}, cfg, "r1", match); got != 99 {
+	if got := committed(SingleRegionDynamic{}, cfg, "r1", match); got != 99 {
 		t.Fatalf("committed = %d, want 99 (in-region 2/3)", got)
 	}
 	// Without the logtailer, commit stalls at the slowest in-region pair.
 	match["lt1"] = 0
-	if got := CommittedIndex(SingleRegionDynamic{}, cfg, "r1", match); got != 4 {
+	if got := committed(SingleRegionDynamic{}, cfg, "r1", match); got != 4 {
 		t.Fatalf("committed = %d, want 4", got)
 	}
 }
 
 func TestCommittedIndexEmptyMatch(t *testing.T) {
 	cfg := paperTopology()
-	if got := CommittedIndex(Majority{}, cfg, "region-0", nil); got != 0 {
+	if got := committed(Majority{}, cfg, "region-0", nil); got != 0 {
 		t.Fatalf("empty match committed %d", got)
 	}
 }
@@ -234,7 +247,7 @@ func TestRegionWatermarks(t *testing.T) {
 		{ID: "e", Region: "r2", Voter: true, Witness: true},
 	}}
 	match := map[wire.NodeID]uint64{"a": 10, "b": 8, "c": 2, "d": 5, "e": 3}
-	w := RegionWatermarks(cfg, match)
+	w := NewVoters(cfg).RegionWatermarks(matchVector(cfg, match))
 	if w["r1"] != 8 {
 		t.Fatalf("r1 watermark = %d, want 8", w["r1"])
 	}
@@ -345,11 +358,11 @@ func TestCommittedIndexMonotoneProperty(t *testing.T) {
 			for _, m := range voters {
 				match[m.ID] = uint64(rng.Intn(100))
 			}
-			before := CommittedIndex(s, cfg, "region-0", match)
+			before := committed(s, cfg, "region-0", match)
 			// Raise one random voter.
 			v := voters[rng.Intn(len(voters))]
 			match[v.ID] += uint64(rng.Intn(50))
-			after := CommittedIndex(s, cfg, "region-0", match)
+			after := committed(s, cfg, "region-0", match)
 			if after < before {
 				return false
 			}
@@ -358,5 +371,82 @@ func TestCommittedIndexMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomConfig builds a membership of up to 12 members over up to 4
+// regions with a random mix of voters and learners; it may have no voters
+// at all, or regions without any.
+func randomConfig(rng *rand.Rand) wire.Config {
+	var cfg wire.Config
+	regions := 1 + rng.Intn(4)
+	for i, n := 0, rng.Intn(13); i < n; i++ {
+		cfg.Members = append(cfg.Members, wire.Member{
+			ID:     wire.NodeID(fmt.Sprintf("n%d", i)),
+			Region: wire.Region(fmt.Sprintf("r%d", rng.Intn(regions))),
+			Voter:  rng.Intn(4) != 0,
+		})
+	}
+	return cfg
+}
+
+// TestCommittedIndexMatchesAckSetOracle: for the four built-in strategies
+// the watermark composition returns exactly what testing every candidate
+// index against DataCommitSatisfied returns, over random memberships and
+// match vectors (zeros, ties and learners included) and leader regions
+// with and without voters.
+func TestCommittedIndexMatchesAckSetOracle(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := randomConfig(rng)
+		v := NewVoters(cfg)
+		match := make([]uint64, len(cfg.Members))
+		for i := range match {
+			match[i] = uint64(rng.Intn(6)) // small range: many ties and zeros
+		}
+		leaderRegion := wire.Region(fmt.Sprintf("r%d", rng.Intn(5)))
+		for _, s := range []Strategy{Majority{}, SingleRegionDynamic{}, StaticAnyRegion{}, Grid{}} {
+			got := CommittedIndex(s, v, leaderRegion, match)
+			want := committedIndexByAcks(s, cfg, leaderRegion, match)
+			if got != want {
+				t.Logf("%s leader=%s cfg=%+v match=%v: got %d, oracle %d", s.Name(), leaderRegion, cfg.Members, match, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// anyAck is a Strategy outside the package's own, as the quorum fixer's
+// override is: CommittedIndex must still honour it.
+type anyAck struct{ Majority }
+
+func (anyAck) DataCommitSatisfied(_ wire.Config, _ wire.Region, acks map[wire.NodeID]bool) bool {
+	return len(acks) >= 1
+}
+
+func TestCommittedIndexForeignStrategy(t *testing.T) {
+	cfg := paperTopology()
+	match := make([]uint64, len(cfg.Members))
+	match[4], match[7] = 9, 12
+	if got := CommittedIndex(anyAck{}, NewVoters(cfg), "region-0", match); got != 12 {
+		t.Fatalf("committed = %d, want 12 (any single ack)", got)
+	}
+}
+
+func TestCommittedIndexAllocatesNothing(t *testing.T) {
+	cfg := paperTopology()
+	v := NewVoters(cfg)
+	match := make([]uint64, len(cfg.Members))
+	for i := range match {
+		match[i] = uint64(100 + i%5)
+	}
+	for _, s := range []Strategy{Majority{}, SingleRegionDynamic{}, StaticAnyRegion{}, Grid{}} {
+		if n := testing.AllocsPerRun(100, func() { CommittedIndex(s, v, "region-0", match) }); n != 0 {
+			t.Errorf("%s: %v allocs per CommittedIndex", s.Name(), n)
+		}
 	}
 }

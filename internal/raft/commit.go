@@ -81,7 +81,7 @@ func (n *Node) truncateTo(index uint64) error {
 	for len(n.confHistory) > 1 && n.confHistory[len(n.confHistory)-1].index > index {
 		n.confHistory = n.confHistory[:len(n.confHistory)-1]
 	}
-	n.members = n.confHistory[len(n.confHistory)-1].cfg.Clone()
+	n.setMembers(n.confHistory[len(n.confHistory)-1].cfg.Clone())
 	n.lastOpID = n.log.LastOpID()
 	n.firstIndex = n.log.FirstIndex()
 	return nil

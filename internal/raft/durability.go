@@ -481,13 +481,23 @@ func (n *Node) failDurableWaitersAbove(index uint64) {
 
 // WaitDurable blocks until the local log is durable (group-fsynced)
 // through index, the entry is truncated away, the node stops, or the
-// context is done. The MySQL commit pipeline's stage-1 durability point
-// awaits this instead of issuing its own Sync (§3.4).
+// context is done. The MySQL commit pipeline's committer awaits this
+// instead of issuing its own Sync (§3.4); it may register the wait several
+// groups after the propose, so a truncation or writer failure that
+// happened in between — whose waiter flush already ran — fails it here.
 func (n *Node) WaitDurable(ctx context.Context, index uint64) error {
 	ch := make(chan error, 1)
 	err := n.post(func() {
 		if index <= n.selfMatch {
 			ch <- nil
+			return
+		}
+		if index > n.lastOpID.Index {
+			ch <- ErrNotDurable
+			return
+		}
+		if _, werr := n.writer.state(); werr != nil {
+			ch <- werr
 			return
 		}
 		n.durableWaiters = append(n.durableWaiters, commitWaiter{index: index, ch: ch})

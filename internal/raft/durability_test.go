@@ -2,6 +2,7 @@ package raft
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -404,5 +405,69 @@ func TestFollowerAcksOnlyDurable(t *testing.T) {
 	}
 	if di := nodes["n1"].DurableIndex(); di < op.Index {
 		t.Fatalf("follower durable index %d below committed %d", di, op.Index)
+	}
+}
+
+// failingSyncLog is a memLog whose Sync fails once armed.
+type failingSyncLog struct {
+	memLog
+	fail atomic.Bool
+}
+
+func (l *failingSyncLog) Sync() error {
+	if l.fail.Load() {
+		return fmt.Errorf("disk gone")
+	}
+	return nil
+}
+
+// TestWaitDurableRegisteredAfterTheFailure: the commit pipeline's
+// committer may ask about a group several groups after proposing it. A
+// wait registered after the writer's failure was already fanned out, or
+// for an index past the tail (truncated away), must fail instead of
+// parking forever.
+func TestWaitDurableRegisteredAfterTheFailure(t *testing.T) {
+	cfg := wire.Config{Members: []wire.Member{{ID: "n0", Region: "r1", Voter: true}}}
+	net := transport.New(transport.Config{IntraRegion: 200 * time.Microsecond}, nil)
+	log := &failingSyncLog{}
+	n, err := NewNode(defaultNodeCfg("n0", "r1"), log, &recordingCallbacks{}, net.Register("n0", "r1"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		n.Stop()
+		net.Close()
+	})
+	n.CampaignNow()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// Index 1 is the leadership no-op; once durable the node is a settled
+	// leader.
+	if err := n.WaitDurable(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := n.WaitDurable(ctx, 99); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("wait past the tail = %v, want ErrNotDurable", err)
+	}
+
+	log.fail.Store(true)
+	op, err := n.Propose([]byte("x"), gtid.GTID{Source: "s", ID: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sticky error steps the leader down: by then the failure's own
+	// waiter flush has run, with nobody registered.
+	for n.Status().Role == RoleLeader {
+		if ctx.Err() != nil {
+			t.Fatal("leader never stepped down on the writer failure")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := n.WaitDurable(ctx, op.Index); err == nil || ctx.Err() != nil {
+		t.Fatalf("wait after writer failure = %v (ctx %v), want the writer's error", err, ctx.Err())
 	}
 }

@@ -24,7 +24,7 @@ type confVersion struct {
 // applyConfig activates a membership (effective as soon as written,
 // §2.2) and records it for truncation rollback.
 func (n *Node) applyConfig(index uint64, cfg wire.Config) {
-	n.members = cfg.Clone()
+	n.setMembers(cfg.Clone())
 	n.confHistory = append(n.confHistory, confVersion{index: index, cfg: cfg.Clone()})
 	if n.role == RoleLeader {
 		now := n.clk.Now()
@@ -44,6 +44,13 @@ func (n *Node) applyConfig(index uint64, cfg wire.Config) {
 	}
 	cb := cfg.Clone()
 	go n.cb.OnMembershipChange(cb)
+}
+
+// setMembers replaces the active membership and the voter layout cached
+// from it.
+func (n *Node) setMembers(cfg wire.Config) {
+	n.members = cfg
+	n.voters = quorum.NewVoters(cfg)
 }
 
 func (n *Node) isVoter(id wire.NodeID) bool {

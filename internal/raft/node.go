@@ -63,8 +63,13 @@ type Node struct {
 	lastLeaderTerm    uint64
 	lastLeaderContact time.Time
 
-	members     wire.Config
-	confHistory []confVersion
+	// members is the active membership and voters its cached voter layout
+	// (both replaced together by setMembers); matchScratch is the reusable
+	// per-member match vector of matchVector.
+	members      wire.Config
+	voters       *quorum.Voters
+	matchScratch []uint64
+	confHistory  []confVersion
 
 	commitIndex uint64
 	lastOpID    opid.OpID
@@ -207,7 +212,7 @@ func (n *Node) Start(bootstrap wire.Config) error {
 	if err := n.cfg.validate(); err != nil {
 		return err
 	}
-	n.members = bootstrap.Clone()
+	n.setMembers(bootstrap.Clone())
 	n.confHistory = []confVersion{{index: 0, cfg: n.members.Clone()}}
 	n.lastOpID = n.log.LastOpID()
 	n.firstIndex = n.log.FirstIndex()
@@ -237,7 +242,7 @@ func (n *Node) Start(bootstrap wire.Config) error {
 				scanErr = fmt.Errorf("raft: corrupt config entry %d: %w", e.OpID.Index, err)
 				return false
 			}
-			n.members = cfg
+			n.setMembers(cfg)
 			n.confHistory = append(n.confHistory, confVersion{index: e.OpID.Index, cfg: cfg.Clone()})
 		}
 		n.cache.add(e)
@@ -618,7 +623,7 @@ func (n *Node) Status() Status {
 			for id, ps := range n.peers {
 				st.Match[id] = ps.match
 			}
-			st.RegionWatermarks = quorum.RegionWatermarks(n.members, st.Match)
+			st.RegionWatermarks = n.voters.RegionWatermarks(n.matchVector())
 			st.LeaseHeld = n.lease.valid(n.clk.Now())
 			st.LeaseExpiry = n.lease.expiry()
 		}

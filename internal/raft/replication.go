@@ -413,22 +413,35 @@ func (n *Node) handleAppendResp(resp *wire.AppendEntriesResp) {
 	n.sendAppend(resp.From)
 }
 
+// matchVector returns each member's match index in n.members order, as
+// quorum.CommittedIndex takes it, in the node's reusable scratch slice.
+// The leader's own vote counts only up to its durable index: an entry
+// sitting in the async writer's queue could still be lost to a local
+// crash, so it must not contribute to the commit quorum yet. Non-voters
+// count nothing.
+func (n *Node) matchVector() []uint64 {
+	match := n.matchScratch[:0]
+	for _, m := range n.members.Members {
+		var idx uint64
+		if m.ID == n.cfg.ID {
+			idx = n.selfMatch
+		} else if m.Voter {
+			if ps := n.peers[m.ID]; ps != nil {
+				idx = ps.match
+			}
+		}
+		match = append(match, idx)
+	}
+	n.matchScratch = match
+	return match
+}
+
 // advanceLeaderCommit recomputes the commit marker from match indexes
 // under the active quorum strategy. Entries from prior terms are only
 // committed once an entry of the current term is (standard Raft safety,
-// preserved by FlexiRaft).
+// preserved by FlexiRaft). It runs on every ack and allocates nothing.
 func (n *Node) advanceLeaderCommit() {
-	match := make(map[wire.NodeID]uint64, len(n.peers)+1)
-	// The leader's own vote counts only up to its durable index: an
-	// entry sitting in the async writer's queue could still be lost to a
-	// local crash, so it must not contribute to the commit quorum yet.
-	match[n.cfg.ID] = n.selfMatch
-	for id, ps := range n.peers {
-		if n.isVoter(id) {
-			match[id] = ps.match
-		}
-	}
-	c := quorum.CommittedIndex(n.strategy(), n.members, n.cfg.Region, match)
+	c := quorum.CommittedIndex(n.strategy(), n.voters, n.cfg.Region, n.matchVector())
 	if c <= n.commitIndex {
 		return
 	}

@@ -349,7 +349,7 @@ func (n *Node) installSnapshot(s *Snapshot) error {
 	}
 	// The snapshot's membership becomes the new config-history base:
 	// every older config entry is gone from the log.
-	n.members = s.Config.Clone()
+	n.setMembers(s.Config.Clone())
 	n.confHistory = []confVersion{{index: s.Anchor.Index, cfg: s.Config.Clone()}}
 	go n.cb.OnMembershipChange(s.Config.Clone())
 	n.snapMet.installs.Inc()

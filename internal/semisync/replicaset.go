@@ -38,6 +38,7 @@ type Replicaset struct {
 	net      *transport.Network
 	registry *discovery.Registry
 	ownsNet  bool
+	ownsDir  bool // New created opts.Dir itself, so Close removes it
 
 	mu      sync.Mutex
 	nodes   map[wire.NodeID]*Node
@@ -48,7 +49,8 @@ type Replicaset struct {
 
 // New builds the replicaset members; none is primary until Bootstrap.
 func New(opts Options, specs []NodeSpec) (*Replicaset, error) {
-	if opts.Dir == "" {
+	ownsDir := opts.Dir == ""
+	if ownsDir {
 		dir, err := os.MkdirTemp("", "semisync-")
 		if err != nil {
 			return nil, err
@@ -60,6 +62,7 @@ func New(opts Options, specs []NodeSpec) (*Replicaset, error) {
 	}
 	rs := &Replicaset{
 		opts:     opts,
+		ownsDir:  ownsDir,
 		net:      opts.Net,
 		registry: opts.Registry,
 		nodes:    make(map[wire.NodeID]*Node),
@@ -410,6 +413,10 @@ func (rs *Replicaset) Close() {
 	}
 	if rs.ownsNet {
 		rs.net.Close()
+	}
+	if rs.ownsDir {
+		// Best effort: Close has no error to report a failed removal through.
+		_ = os.RemoveAll(rs.opts.Dir)
 	}
 }
 

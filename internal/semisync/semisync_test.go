@@ -3,6 +3,8 @@ package semisync
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -223,5 +225,34 @@ func TestAlignTruncatesDivergentReplica(t *testing.T) {
 	// hazard of the prior setup the paper calls out.
 	if _, err := rs.Node("mysql-2").Server().Set(ctx, "post", []byte("x")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Close removes a state directory New created itself and leaves a
+// caller-supplied one alone.
+func TestCloseRemovesOnlyOwnedStateDir(t *testing.T) {
+	specs := paperSpecs(1)
+
+	owned, err := New(Options{}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := owned.opts.Dir
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("state dir New created is missing while running: %v", err)
+	}
+	owned.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Close left the temp state dir %s behind (stat err = %v)", dir, err)
+	}
+
+	supplied := t.TempDir()
+	rs, err := New(Options{Dir: supplied}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.Close()
+	if _, err := os.Stat(filepath.Join(supplied, "mysql-0")); err != nil {
+		t.Fatalf("Close removed state under a caller-supplied Dir: %v", err)
 	}
 }

@@ -194,15 +194,24 @@ type walRecord struct {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// walFixedBody is the fixed part of a record body: type, transaction id,
+// OpID term and index.
+const walFixedBody = 1 + 8 + 8 + 8
+
+// encodeWALRecord frames rec as length | body | crc32(body) in one buffer
+// of exactly the record's size.
 func encodeWALRecord(rec *walRecord) []byte {
-	body := []byte{byte(rec.typ)}
-	body = binary.BigEndian.AppendUint64(body, rec.txnID)
-	body = binary.BigEndian.AppendUint64(body, rec.op.Term)
-	body = binary.BigEndian.AppendUint64(body, rec.op.Index)
-	body = appendBytes(body, EncodeChanges(rec.changes))
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	buf = append(buf, body...)
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+	csize := changesSize(rec.changes)
+	bodyLen := walFixedBody + 4 + csize
+	buf := make([]byte, 0, 4+bodyLen+4)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(bodyLen))
+	buf = append(buf, byte(rec.typ))
+	buf = binary.BigEndian.AppendUint64(buf, rec.txnID)
+	buf = binary.BigEndian.AppendUint64(buf, rec.op.Term)
+	buf = binary.BigEndian.AppendUint64(buf, rec.op.Index)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(csize))
+	buf = appendChanges(buf, rec.changes)
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[4:], castagnoli))
 }
 
 func decodeWALRecord(data []byte) (*walRecord, []byte, bool) {
@@ -219,7 +228,7 @@ func decodeWALRecord(data []byte) (*walRecord, []byte, bool) {
 		return nil, nil, false
 	}
 	rest := data[4+n+4:]
-	if len(body) < 1+8+8+8 {
+	if len(body) < walFixedBody {
 		return nil, nil, false
 	}
 	rec := &walRecord{typ: walRecordType(body[0])}

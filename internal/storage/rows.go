@@ -52,16 +52,34 @@ func readBytes(data []byte) ([]byte, []byte, error) {
 	return append([]byte{}, data[:n]...), data[n:], nil
 }
 
-// EncodeChanges serializes a row-change list into the transaction payload
-// carried by binlog row events.
-func EncodeChanges(changes []RowChange) []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(changes)))
-	for _, c := range changes {
-		buf = appendBytes(buf, []byte(c.Key))
+// changesSize is the exact encoded length of a row-change list.
+func changesSize(changes []RowChange) int {
+	n := 4
+	for i := range changes {
+		c := &changes[i]
+		n += 4 + len(c.Key) + 4 + len(c.Before) + 4 + len(c.After)
+	}
+	return n
+}
+
+// appendChanges writes the row-change list framing onto buf. Encoders
+// size their one buffer with changesSize first, so this never grows it.
+func appendChanges(buf []byte, changes []RowChange) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(changes)))
+	for i := range changes {
+		c := &changes[i]
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Key)))
+		buf = append(buf, c.Key...)
 		buf = appendBytes(buf, c.Before)
 		buf = appendBytes(buf, c.After)
 	}
 	return buf
+}
+
+// EncodeChanges serializes a row-change list into the transaction payload
+// carried by binlog row events.
+func EncodeChanges(changes []RowChange) []byte {
+	return appendChanges(make([]byte, 0, changesSize(changes)), changes)
 }
 
 // DecodeChanges parses a transaction payload into its row changes. Both

@@ -3,7 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // A Writeset is the hashed touch-set of a transaction: one 64-bit hash
@@ -35,19 +35,18 @@ func WritesetOf(changes []RowChange) Writeset {
 	if len(changes) == 0 {
 		return nil
 	}
-	ws := make(Writeset, 0, len(changes))
-	for _, c := range changes {
-		ws = append(ws, HashKey(c.Key))
+	return appendWriteset(make(Writeset, 0, len(changes)), changes)
+}
+
+// appendWriteset fills ws (empty, any capacity) with the sorted,
+// de-duplicated key hashes of changes.
+func appendWriteset(ws Writeset, changes []RowChange) Writeset {
+	for i := range changes {
+		ws = append(ws, HashKey(changes[i].Key))
 	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	// De-duplicate in place (a transaction may rewrite the same row).
-	out := ws[:1]
-	for _, h := range ws[1:] {
-		if h != out[len(out)-1] {
-			out = append(out, h)
-		}
-	}
-	return out
+	slices.Sort(ws)
+	// A transaction may rewrite the same row.
+	return slices.Compact(ws)
 }
 
 // payloadMagicV2 opens a writeset-bearing transaction payload. The legacy
@@ -65,16 +64,24 @@ const maxWriteset = 4096
 // the transaction payload carried by binlog row events. Oversized
 // writesets are dropped (legacy v1 framing), signalling serial apply.
 func EncodeTxnPayload(changes []RowChange) []byte {
-	ws := WritesetOf(changes)
+	// The writeset is only needed until it is copied into the payload, so
+	// the usual few-row transaction hashes into a stack buffer.
+	var small [16]uint64
+	ws := Writeset(small[:0])
+	if len(changes) > len(small) {
+		ws = make(Writeset, 0, len(changes))
+	}
+	ws = appendWriteset(ws, changes)
 	if len(ws) == 0 || len(ws) > maxWriteset {
 		return EncodeChanges(changes)
 	}
-	buf := binary.BigEndian.AppendUint32(nil, payloadMagicV2)
+	buf := make([]byte, 0, 8+8*len(ws)+changesSize(changes))
+	buf = binary.BigEndian.AppendUint32(buf, payloadMagicV2)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ws)))
 	for _, h := range ws {
 		buf = binary.BigEndian.AppendUint64(buf, h)
 	}
-	return append(buf, EncodeChanges(changes)...)
+	return appendChanges(buf, changes)
 }
 
 // splitPayload separates the writeset section (if any) from the v1

@@ -108,14 +108,18 @@ stage_spec() {
 		;;
 	pipeline)
 		# The pipelined group-commit slice across its layers: batched raft
-		# ingress, the flusher/committer overlap with its demotion-race and
-		# depth-1-serial contracts, engine sync coalescing, the loopback +
+		# ingress and the allocation-free commit advance it leans on, the
+		# flusher/committer overlap with its durability, demotion-race,
+		# GTID-cursor and depth-1-serial contracts, engine sync coalescing,
+		# the byte-identical WAL/payload/binlog encoders, the loopback +
 		# drop-counter transport satellites, and the depth 1-vs-4 A/B
 		# bench. (Every chaos run commits through the depth-4 pipeline.)
 		cat <<-EOF
-		./internal/raft=ProposeBatch
-		./internal/mysql=Pipeline|Demotion
-		./internal/storage=Sync
+		./internal/raft=ProposeBatch|AdvanceLeaderCommit|WaitDurable
+		./internal/quorum
+		./internal/mysql=Pipeline|Demotion|GTIDCursor
+		./internal/storage=Sync|Encode
+		./internal/binlog=Encode
 		./internal/transport=TCPDrop|TCPLoopback
 		bench:.=BenchmarkGroupCommitPipeline
 		EOF
