@@ -71,7 +71,9 @@ func refEncodeEntry(e *Entry) []byte {
 	return refAppendEvent(buf, EventXid, xid)
 }
 
-func TestEncodeEntryMatchesReferenceBytes(t *testing.T) {
+// encodeCorpus is the reference-bytes corpus: hand-picked edge cases plus
+// 300 seeded random entries. FuzzReadEntryAt seeds from it too.
+func encodeCorpus() []*Entry {
 	rng := rand.New(rand.NewSource(16))
 	payload := func(n int) []byte {
 		b := make([]byte, n)
@@ -100,10 +102,14 @@ func TestEncodeEntryMatchesReferenceBytes(t *testing.T) {
 		}
 		corpus = append(corpus, e)
 	}
+	return corpus
+}
+
+func TestEncodeEntryMatchesReferenceBytes(t *testing.T) {
 	// One buffer reused across the corpus, as Log.Append reuses its own:
 	// bytes left over from a longer entry must not leak into a shorter one.
 	var buf []byte
-	for i, e := range corpus {
+	for i, e := range encodeCorpus() {
 		buf = appendEntry(buf[:0], e)
 		if !bytes.Equal(buf, refEncodeEntry(e)) {
 			t.Fatalf("corpus %d (%v, %d payload bytes): encoding differs from reference", i, e.Type, len(e.Payload))

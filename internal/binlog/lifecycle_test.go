@@ -322,3 +322,31 @@ func TestPurgeAfterReset(t *testing.T) {
 		t.Fatalf("FirstIndex after reopen = %d, want 25", got)
 	}
 }
+
+// TestPurgeKeepsFirstIndexPastHeaderOnlyFile: when the oldest surviving
+// file holds no entries (two rotations in a row), FirstIndex must still
+// name the first entry of the next file, as a reopen would, not report
+// an empty log.
+func TestPurgeKeepsFirstIndexPastHeaderOnlyFile(t *testing.T) {
+	dir := t.TempDir()
+	l := openTestLog(t, Options{Dir: dir})
+	for i := uint64(1); i <= 6; i++ {
+		if err := l.Append(normalEntry(1, i, "p")); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			l.Rotate()
+			l.Rotate()
+		}
+	}
+	if err := l.PurgeTo(5); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.FirstIndex(); got != 4 {
+		t.Fatalf("FirstIndex after purge = %d, want 4", got)
+	}
+	l.Close()
+	if got := openTestLog(t, Options{Dir: dir}).FirstIndex(); got != 4 {
+		t.Fatalf("FirstIndex after reopen = %d, want 4", got)
+	}
+}

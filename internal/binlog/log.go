@@ -2,6 +2,7 @@ package binlog
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -98,6 +99,10 @@ type Log struct {
 	dirty    bool  // writes since the last successful fsync
 	unsynced int64 // bytes appended since the last successful fsync
 
+	// tail holds the most recently appended entries in memory (tail.go);
+	// Entry and Entries read the files only when it misses.
+	tail tail
+
 	// enc is Append's reusable encode buffer, kept between appends unless
 	// an entry grew it past maxRetainedEncode.
 	enc []byte
@@ -107,6 +112,7 @@ type Log struct {
 	statAppendBytes int64 // encoded bytes appended
 	statSyncs       int64 // fsyncs that actually hit the disk
 	statNoopSyncs   int64 // Sync calls coalesced away by the dirty check
+	statFileReads   int64 // Entry/Entries calls the tail missed
 }
 
 // maxRetainedEncode bounds the encode buffer a Log keeps between appends,
@@ -123,6 +129,9 @@ type Stats struct {
 	Syncs int64
 	// NoopSyncs counts Sync calls coalesced into no-ops by group commit.
 	NoopSyncs int64
+	// FileReads counts Entry/Entries calls the in-memory tail could not
+	// serve, which read and decode the log files instead.
+	FileReads int64
 }
 
 // Stats returns the lifetime I/O counters.
@@ -134,6 +143,7 @@ func (l *Log) Stats() Stats {
 		AppendBytes: l.statAppendBytes,
 		Syncs:       l.statSyncs,
 		NoopSyncs:   l.statNoopSyncs,
+		FileReads:   l.statFileReads,
 	}
 }
 
@@ -330,7 +340,9 @@ func (l *Log) recoverFile(name string) error {
 
 // readEntryAt decodes the full entry starting at pos. It returns the entry
 // and its encoded length, (nil, 0, nil) on a clean end-of-data, and an
-// error on corruption.
+// error on corruption. It accepts exactly what appendEntry writes — zero
+// event flags, 64 KiB row chunks, an Xid naming the entry's index — so a
+// successful decode re-encodes to the same bytes.
 func readEntryAt(data []byte, pos int64, fileName string) (*Entry, int64, error) {
 	start := pos
 	ev, n, err := decodeEvent(data[pos:])
@@ -340,14 +352,20 @@ func readEntryAt(data []byte, pos int64, fileName string) (*Entry, int64, error)
 	if ev == nil {
 		return nil, 0, nil
 	}
-	if ev.typ != EventGTID {
+	if ev.typ != EventGTID || ev.flags != 0 {
 		return nil, 0, &ErrCorrupt{File: fileName, Offset: pos, Reason: "expected GTID event, got " + ev.typ.String()}
 	}
 	hdr, err := decodeGTIDEventBody(ev.body)
 	if err != nil {
 		return nil, 0, &ErrCorrupt{File: fileName, Offset: pos, Reason: err.Error()}
 	}
+	if hdr.eventsToXid != (hdr.payloadLen+rowChunkSize-1)/rowChunkSize {
+		return nil, 0, &ErrCorrupt{File: fileName, Offset: pos, Reason: "rows event count does not match payload length"}
+	}
 	pos += int64(n)
+	if int64(hdr.payloadLen) > int64(len(data))-pos {
+		return nil, 0, nil // the payload cannot fit: a torn tail
+	}
 	payload := make([]byte, 0, hdr.payloadLen)
 	for i := uint32(0); i < hdr.eventsToXid; i++ {
 		ev, n, err = decodeEvent(data[pos:])
@@ -357,7 +375,7 @@ func readEntryAt(data []byte, pos int64, fileName string) (*Entry, int64, error)
 		if ev == nil {
 			return nil, 0, nil
 		}
-		if ev.typ != EventRows {
+		if ev.typ != EventRows || ev.flags != 0 || len(ev.body) != min(rowChunkSize, int(hdr.payloadLen)-len(payload)) {
 			return nil, 0, &ErrCorrupt{File: fileName, Offset: pos, Reason: "expected Rows event"}
 		}
 		payload = append(payload, ev.body...)
@@ -370,7 +388,7 @@ func readEntryAt(data []byte, pos int64, fileName string) (*Entry, int64, error)
 	if ev == nil {
 		return nil, 0, nil
 	}
-	if ev.typ != EventXid {
+	if ev.typ != EventXid || ev.flags != 0 || len(ev.body) != 8 || binary.BigEndian.Uint64(ev.body) != hdr.op.Index {
 		return nil, 0, &ErrCorrupt{File: fileName, Offset: pos, Reason: "expected Xid event"}
 	}
 	pos += int64(n)
@@ -443,6 +461,11 @@ func (l *Log) createFileLocked() error {
 // a follower joining mid-stream). Appending an EntryRotate rotates the
 // file after the entry is written, which is how replicated FLUSH BINARY
 // LOGS keeps files aligned across the ring (§A.1).
+//
+// A log entry's payload is immutable once appended: the in-memory tail
+// keeps e.Payload itself (not a copy) and hands it to readers, so neither
+// the caller nor any reader may modify it afterwards. Append copies the
+// rest of *e and does not retain e.
 func (l *Log) Append(e *Entry) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -480,6 +503,7 @@ func (l *Log) Append(e *Entry) error {
 	if e.HasGTID {
 		l.gtids.Add(e.GTID)
 	}
+	l.tail.push(e)
 	if l.syncAll {
 		if err := l.syncLocked(); err != nil {
 			return err
@@ -559,11 +583,19 @@ func (l *Log) Persona() Persona {
 	return l.persona
 }
 
-// Entry reads the entry at index from disk, verifying checksums. This is
-// the historical-read path the leader uses when a lagging follower needs
-// entries that have fallen out of the in-memory cache (§3.1).
+// Entry returns the entry at index. An entry still in the in-memory tail
+// is returned from memory, sharing its payload (see Append) and without
+// re-verifying the file; anything older is read from disk with its
+// checksums verified. The disk read is the historical path the leader
+// uses when a lagging follower needs entries that have fallen out of the
+// in-memory caches (§3.1), and the one a reopened Log starts on.
 func (l *Log) Entry(index uint64) (*Entry, error) {
 	l.mu.Lock()
+	if e, ok := l.tail.get(index); ok {
+		l.mu.Unlock()
+		return e, nil
+	}
+	l.statFileReads++
 	loc, ok := l.offsets[index]
 	if !ok {
 		l.mu.Unlock()
@@ -575,24 +607,12 @@ func (l *Log) Entry(index uint64) (*Entry, error) {
 			return nil, err
 		}
 	}
-	path := filepath.Join(l.dir, loc.file.name)
+	dir := l.dir
 	l.mu.Unlock()
 
-	data := make([]byte, loc.length)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("binlog: open %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, err := f.ReadAt(data, loc.offset); err != nil {
-		return nil, fmt.Errorf("binlog: read entry %d: %w", index, err)
-	}
-	e, _, err := readEntryAt(data, 0, loc.file.name)
+	e, err := readEntryFile(dir, loc)
 	if err != nil {
 		return nil, err
-	}
-	if e == nil {
-		return nil, &ErrCorrupt{File: loc.file.name, Offset: loc.offset, Reason: "short entry"}
 	}
 	if e.OpID.Index != index {
 		return nil, &ErrCorrupt{File: loc.file.name, Offset: loc.offset, Reason: "index mismatch"}
@@ -600,14 +620,29 @@ func (l *Log) Entry(index uint64) (*Entry, error) {
 	return e, nil
 }
 
-// Entries reads the contiguous range [from, to] with one open and one
-// read per spanned file (Entry's open-per-index cost would serialize a
-// batch consumer like the parallel applier behind file I/O).
+// Entries returns the contiguous range [from, to]. A range wholly inside
+// the in-memory tail is copied out of it with two allocations whatever its
+// length; otherwise the range is read with one open and one read per
+// spanned file (Entry's open-per-index cost would serialize a batch
+// consumer like the parallel applier behind file I/O).
 func (l *Log) Entries(from, to uint64) ([]*Entry, error) {
 	if to < from {
 		return nil, nil
 	}
 	l.mu.Lock()
+	if l.tail.holds(from, to) {
+		vals := make([]Entry, 0, to-from+1)
+		for i := from; i <= to; i++ {
+			vals = append(vals, l.tail.at(i))
+		}
+		l.mu.Unlock()
+		out := make([]*Entry, len(vals))
+		for i := range vals {
+			out[i] = &vals[i]
+		}
+		return out, nil
+	}
+	l.statFileReads++
 	if err := l.flushLocked(); err != nil {
 		l.mu.Unlock()
 		return nil, err
@@ -757,19 +792,9 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 		if !ok {
 			continue
 		}
-		data := make([]byte, loc.length)
-		rf, err := os.Open(filepath.Join(l.dir, loc.file.name))
+		e, err := l.entryLocked(idx, loc)
 		if err != nil {
-			return nil, fmt.Errorf("binlog: truncate read: %w", err)
-		}
-		_, rerr := rf.ReadAt(data, loc.offset)
-		rf.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("binlog: truncate read: %w", rerr)
-		}
-		e, _, err := readEntryAt(data, 0, loc.file.name)
-		if err != nil || e == nil {
-			return nil, fmt.Errorf("binlog: truncate decode %d: %v", idx, err)
+			return nil, fmt.Errorf("binlog: truncate read %d: %w", idx, err)
 		}
 		removed = append(removed, e)
 		if e.HasGTID {
@@ -777,6 +802,7 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 		}
 		delete(l.offsets, idx)
 	}
+	l.tail.truncateAfter(index)
 	// Find the file that keeps the tail and drop every later file.
 	keep := len(l.files) - 1
 	for keep > 0 && (l.files[keep].firstIndex == 0 || l.files[keep].firstIndex > index) {
@@ -806,7 +832,7 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 		tail.lastIndex = 0
 	}
 	if loc, ok := l.offsets[index]; ok {
-		e, err := l.entryAtLocked(loc)
+		e, err := l.entryLocked(index, loc)
 		if err != nil {
 			return nil, err
 		}
@@ -846,17 +872,27 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 	return removed, l.writeIndexFileLocked()
 }
 
-// entryAtLocked reads and decodes the entry at loc. mu must be held and
-// the writer flushed.
-func (l *Log) entryAtLocked(loc entryLoc) (*Entry, error) {
+// entryLocked returns the entry at index, located at loc: from the tail
+// when it holds index, from the file otherwise. mu must be held and the
+// writer flushed.
+func (l *Log) entryLocked(index uint64, loc entryLoc) (*Entry, error) {
+	if e, ok := l.tail.get(index); ok {
+		return e, nil
+	}
+	return readEntryFile(l.dir, loc)
+}
+
+// readEntryFile reads and decodes the entry at loc from its file in dir.
+// Entries in the active file must have been flushed out of the writer.
+func readEntryFile(dir string, loc entryLoc) (*Entry, error) {
 	data := make([]byte, loc.length)
-	f, err := os.Open(filepath.Join(l.dir, loc.file.name))
+	f, err := os.Open(filepath.Join(dir, loc.file.name))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("binlog: open %s: %w", loc.file.name, err)
 	}
 	defer f.Close()
 	if _, err := f.ReadAt(data, loc.offset); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("binlog: read %s at %d: %w", loc.file.name, loc.offset, err)
 	}
 	e, _, err := readEntryAt(data, 0, loc.file.name)
 	if err != nil {
@@ -876,7 +912,7 @@ func (l *Log) gtidsBeforeFileLocked(lf *logFile) *gtid.Set {
 	if lf.firstIndex != 0 {
 		for idx := lf.firstIndex; idx <= l.lastOpID.Index; idx++ {
 			if loc, ok := l.offsets[idx]; ok {
-				if e, err := l.entryAtLocked(loc); err == nil && e.HasGTID {
+				if e, err := l.entryLocked(idx, loc); err == nil && e.HasGTID {
 					s.Remove(e.GTID)
 				}
 			}
@@ -920,6 +956,7 @@ func (l *Log) ResetTo(op opid.OpID, gtids *gtid.Set) error {
 	l.files = nil
 	l.active = nil
 	l.offsets = make(map[uint64]entryLoc)
+	l.tail.reset()
 	l.firstIndex = 0
 	l.lastOpID = op
 	l.anchor = op
@@ -964,6 +1001,9 @@ func (l *Log) PurgeTo(index uint64) error {
 	if cut == 0 {
 		return nil
 	}
+	// Files hold ascending index runs, so the last purged file's tail
+	// bounds everything purged.
+	l.tail.dropBelow(l.files[cut-1].lastIndex + 1)
 	for _, f := range l.files[:cut] {
 		for idx := f.firstIndex; idx != 0 && idx <= f.lastIndex; idx++ {
 			delete(l.offsets, idx)
@@ -973,10 +1013,15 @@ func (l *Log) PurgeTo(index uint64) error {
 		}
 	}
 	l.files = append([]*logFile(nil), l.files[cut:]...)
-	if first := l.files[0]; first.firstIndex != 0 {
-		l.firstIndex = first.firstIndex
-	} else {
-		l.firstIndex = 0
+	// The oldest surviving file may be header-only (a rotation with no
+	// entries after it), so the first entry is in the first non-empty one,
+	// as recovery finds it.
+	l.firstIndex = 0
+	for _, f := range l.files {
+		if f.firstIndex != 0 {
+			l.firstIndex = f.firstIndex
+			break
+		}
 	}
 	return l.writeIndexFileLocked()
 }
@@ -1035,10 +1080,12 @@ func (l *Log) NextGTID(u gtid.UUID) int64 {
 // Crash simulates a process crash: the active file is closed without
 // flushing the write buffer, so recently appended entries that were never
 // synced are torn off, exactly the torn-tail situation Open recovers from
-// (§A.2 case 1).
+// (§A.2 case 1). The in-memory tail goes with the process: nothing can
+// read back an entry the crash tore off.
 func (l *Log) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.tail.reset()
 	if l.f != nil {
 		l.f.Close() // deliberately skip the buffered-writer flush
 		l.f = nil

@@ -95,7 +95,16 @@ func (s *Set) AddInterval(u UUID, iv Interval) {
 	if s.intervals == nil {
 		s.intervals = make(map[UUID][]Interval)
 	}
-	s.intervals[u] = mergeInto(s.intervals[u], iv)
+	ivs := s.intervals[u]
+	// Append fast path: a primary's GTIDs arrive in order, so iv almost
+	// always overlaps or touches the last interval, which can grow in
+	// place. The slice is never handed out (Clone deep-copies), so no
+	// reader can see the write.
+	if n := len(ivs); n > 0 && iv.First >= ivs[n-1].First && iv.First <= ivs[n-1].Last+1 {
+		ivs[n-1].Last = max(ivs[n-1].Last, iv.Last)
+		return
+	}
+	s.intervals[u] = mergeInto(ivs, iv)
 }
 
 // mergeInto inserts iv into the normalized list and re-normalizes.

@@ -314,3 +314,72 @@ func TestContainsOnNilSet(t *testing.T) {
 		t.Fatal("nil set count nonzero")
 	}
 }
+
+// TestAddIntervalMatchesMergeInto: the in-place append fast path leaves
+// every set exactly as the general merge would, over random interval
+// sequences biased toward in-order arrival.
+func TestAddIntervalMatchesMergeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 2000; trial++ {
+		s := NewSet()
+		var ref []Interval
+		next := int64(1)
+		for i := 0; i < 1+rng.Intn(40); i++ {
+			var iv Interval
+			switch rng.Intn(4) {
+			case 0, 1: // in order: extends or touches the tail
+				iv = Interval{next - int64(rng.Intn(3)), next + int64(rng.Intn(3))}
+			case 2: // a gap past the tail
+				iv = Interval{next + 2 + int64(rng.Intn(5)), 0}
+				iv.Last = iv.First + int64(rng.Intn(4))
+			default: // anywhere
+				iv = Interval{1 + int64(rng.Intn(60)), 0}
+				iv.Last = iv.First + int64(rng.Intn(6)) - 1
+			}
+			if iv.First < 1 || iv.Last < iv.First {
+				continue
+			}
+			next = max(next, iv.Last+1)
+			s.AddInterval("u", iv)
+			ref = mergeInto(ref, iv)
+		}
+		got := s.intervals["u"]
+		if len(got) != len(ref) {
+			t.Fatalf("trial %d: %v, want %v", trial, got, ref)
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("trial %d: %v, want %v", trial, got, ref)
+			}
+		}
+	}
+}
+
+// TestSequentialAddAllocatesNothing pins the append fast path: a primary
+// adding its own GTIDs in order grows the last interval in place.
+func TestSequentialAddAllocatesNothing(t *testing.T) {
+	s := NewSet()
+	id := int64(0)
+	add := func() {
+		id++
+		s.Add(GTID{Source: "uuid-mysql-0", ID: id})
+	}
+	if n := testing.AllocsPerRun(1000, add); n != 0 {
+		t.Fatalf("sequential Add: %v allocs, want 0", n)
+	}
+	if got := s.String(); got != "uuid-mysql-0:1-1001" {
+		t.Fatalf("set = %q", got)
+	}
+}
+
+// TestCloneIsolatedFromInPlaceGrowth: growing the original's last interval
+// in place must not show through a clone taken earlier.
+func TestCloneIsolatedFromInPlaceGrowth(t *testing.T) {
+	s := NewSet()
+	s.Add(GTID{Source: "u", ID: 1})
+	c := s.Clone()
+	s.Add(GTID{Source: "u", ID: 2})
+	if got := c.String(); got != "u:1" {
+		t.Fatalf("clone = %q after the original grew", got)
+	}
+}

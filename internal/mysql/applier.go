@@ -206,7 +206,10 @@ func (a *applier) appliedThroughIndexLocked(index uint64) bool {
 	if progress >= index {
 		return true
 	}
-	// Everything between progress and index must be non-data entries.
+	// Everything between progress and index must be non-data entries. The
+	// entries just past the apply cursor are in the relay log's in-memory
+	// tail, so this reads no file under a.mu unless apply lags beyond it,
+	// and then the first entry read is almost surely a data entry.
 	for i := progress + 1; i <= index; i++ {
 		e, err := a.s.log.Entry(i)
 		if err != nil || e.Type == binlog.EntryNormal {
@@ -353,12 +356,10 @@ func (a *applier) run(done chan struct{}) {
 
 // applyRange applies entries [from, to] to the engine in bounded chunks,
 // returning the last index applied and whether the whole range succeeded.
-// Each chunk is read with one sequential log scan (per-entry reads open
-// the log file per call, which would serialize the whole applier behind
-// file I/O); multi-entry chunks then go through the parallel scheduler
-// when workers are configured, while a chunk of one (the steady-state
-// shape when a caught-up replica sees entries trickle in) skips the
-// scheduling machinery entirely.
+// Each chunk is one readEntries call; multi-entry chunks then go through
+// the parallel scheduler when workers are configured, while a chunk of
+// one (the steady-state shape when a caught-up replica sees entries
+// trickle in) skips the scheduling machinery entirely.
 func (a *applier) applyRange(from, to uint64) (uint64, bool) {
 	last := from - 1
 	for last < to {
@@ -391,16 +392,10 @@ func (a *applier) applyRange(from, to uint64) (uint64, bool) {
 	return last, true
 }
 
-// readEntries fetches [from, to] from the relay log: a single sequential
-// scan for ranges, one point read for a single entry.
+// readEntries fetches [from, to] from the relay log: from its in-memory
+// tail when the applier keeps up, with one span read per file when it
+// lags beyond it (after a restart, or a burst longer than the tail).
 func (a *applier) readEntries(from, to uint64) ([]*binlog.Entry, error) {
-	if to == from {
-		e, err := a.s.log.Entry(from)
-		if err != nil {
-			return nil, fmt.Errorf("read %d: %w", from, err)
-		}
-		return []*binlog.Entry{e}, nil
-	}
 	entries, err := a.s.log.Entries(from, to)
 	if err != nil {
 		return nil, fmt.Errorf("read [%d,%d]: %w", from, to, err)

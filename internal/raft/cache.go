@@ -15,25 +15,34 @@ import (
 // not need to parse binlog files; entries that fall out of the window are
 // read back through the LogStore's historical path.
 //
+// It is a ring of cachedEntry values: entry i lives in
+// slots[i%len(slots)] and the cached indexes are always one contiguous
+// run [first, first+n). The ring grows lazily, doubling up to cap entries
+// (Config.CacheCapacity), and evicts oldest-first past cap entries or
+// cacheBytes stored payload bytes. Payloads are shared with the entry
+// handed to add, never copied, and get hands them out again: a log
+// entry's payload is immutable once appended (LogStore.Append), so
+// sharing it costs nothing and is safe.
+//
 // Per §3.4 ("Raft compresses the transaction and stores it in its
 // in-memory cache"), payloads above a threshold are kept flate-compressed
-// and transparently decompressed on read, trading a little CPU for cache
-// density.
+// and transparently decompressed on read when compression is enabled,
+// trading a little CPU for cache density.
 //
 // The cache is owned by the node's event loop and needs no locking.
 type entryCache struct {
-	entries  map[uint64]*cachedEntry
-	first    uint64 // lowest cached index, 0 when empty
-	last     uint64 // highest cached index, 0 when empty
+	slots    []cachedEntry
+	first    uint64 // index of the oldest cached entry
+	n        int    // entries cached
+	bytes    int    // stored payload bytes
 	cap      int
 	compress bool
 }
 
-// cachedEntry is one cache slot; payload is stored compressed when that
-// actually saves space.
+// cachedEntry is one cache slot. e.Payload holds the stored form: the
+// appended payload itself, or its flate-compressed copy when compressed.
 type cachedEntry struct {
-	meta       wire.LogEntry // Payload nil; header fields only
-	payload    []byte
+	e          wire.LogEntry
 	compressed bool
 	rawLen     int
 }
@@ -41,8 +50,13 @@ type cachedEntry struct {
 // compressThreshold is the minimum payload size worth compressing.
 const compressThreshold = 128
 
+// cacheBytes bounds the payload bytes the cache holds, whatever
+// CacheCapacity allows: at transaction-sized payloads the entry cap alone
+// would pin tens of megabytes per member.
+const cacheBytes = 8 << 20
+
 func newEntryCache(capacity int, compress bool) *entryCache {
-	return &entryCache{entries: make(map[uint64]*cachedEntry), cap: capacity, compress: compress}
+	return &entryCache{cap: max(capacity, 1), compress: compress}
 }
 
 // flateWriters pools flate writers: allocating one per append would cost
@@ -88,94 +102,115 @@ func decompressPayload(data []byte, rawLen int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// slot returns the ring slot of index.
+func (c *entryCache) slot(index uint64) *cachedEntry {
+	return &c.slots[index%uint64(len(c.slots))]
+}
+
+// holds reports whether index is cached.
+func (c *entryCache) holds(index uint64) bool {
+	return c.n > 0 && index >= c.first && index < c.first+uint64(c.n)
+}
+
 // add inserts an entry at the tail of the cache. Non-contiguous inserts
 // reset the cache to the new entry (the window must stay contiguous for
-// range reads).
+// range reads); a payload larger than the whole byte bound empties it.
 func (c *entryCache) add(e *wire.LogEntry) {
 	idx := e.OpID.Index
-	if c.last != 0 && idx != c.last+1 {
+	if c.n > 0 && idx != c.first+uint64(c.n) {
 		c.reset()
 	}
-	meta := *e
-	meta.Payload = nil
-	var payload []byte
-	compressed := false
+	ce := cachedEntry{e: *e, rawLen: len(e.Payload)}
 	if c.compress {
-		payload, compressed = compressPayload(e.Payload)
-	} else {
-		payload = e.Payload
+		ce.e.Payload, ce.compressed = compressPayload(e.Payload)
 	}
-	if !compressed && e.Payload != nil {
-		payload = append([]byte(nil), e.Payload...)
+	size := len(ce.e.Payload)
+	if size > cacheBytes {
+		c.reset()
+		return
 	}
-	c.entries[idx] = &cachedEntry{
-		meta:       meta,
-		payload:    payload,
-		compressed: compressed,
-		rawLen:     len(e.Payload),
+	for c.n > 0 && (c.n >= c.cap || c.bytes+size > cacheBytes) {
+		c.dropFirst()
 	}
-	if c.first == 0 {
+	if c.n == len(c.slots) {
+		c.grow()
+	}
+	if c.n == 0 {
 		c.first = idx
 	}
-	c.last = idx
-	for len(c.entries) > c.cap {
-		delete(c.entries, c.first)
-		c.first++
+	*c.slot(idx) = ce
+	c.n++
+	c.bytes += size
+}
+
+// grow doubles the ring (up to cap), re-laying the cached run out by the
+// new modulus.
+func (c *entryCache) grow() {
+	slots := make([]cachedEntry, min(max(2*len(c.slots), 64), c.cap))
+	for i := c.first; i < c.first+uint64(c.n); i++ {
+		slots[i%uint64(len(slots))] = *c.slot(i)
 	}
+	c.slots = slots
 }
 
 // get returns the cached entry at index, if present, decompressing the
-// payload when needed. A decompression failure (impossible unless memory
-// was corrupted) reports a miss, falling back to the log store.
-func (c *entryCache) get(index uint64) (*wire.LogEntry, bool) {
-	ce, ok := c.entries[index]
-	if !ok {
-		return nil, false
+// payload when needed. An uncompressed payload is the appended slice
+// itself. A decompression failure (impossible unless memory was
+// corrupted) reports a miss, falling back to the log store.
+func (c *entryCache) get(index uint64) (wire.LogEntry, bool) {
+	if !c.holds(index) {
+		return wire.LogEntry{}, false
 	}
-	e := ce.meta
+	ce := c.slot(index)
+	e := ce.e
 	if ce.compressed {
-		raw, err := decompressPayload(ce.payload, ce.rawLen)
+		raw, err := decompressPayload(ce.e.Payload, ce.rawLen)
 		if err != nil {
-			return nil, false
+			return wire.LogEntry{}, false
 		}
 		e.Payload = raw
-	} else if ce.rawLen > 0 {
-		e.Payload = ce.payload
 	}
-	return &e, true
+	return e, true
 }
 
 // meta returns a payload-free copy of the cached entry's header at
 // index, if present. Unlike get it never touches the stored payload, so
-// proxied sends skip both the copy and any decompression.
+// proxied sends skip any decompression.
 func (c *entryCache) meta(index uint64) (wire.LogEntry, bool) {
-	if ce, ok := c.entries[index]; ok {
-		return ce.meta, true
+	if !c.holds(index) {
+		return wire.LogEntry{}, false
 	}
-	return wire.LogEntry{}, false
+	e := c.slot(index).e
+	e.Payload = nil
+	return e, true
 }
 
 // termAt returns the term of the cached entry at index, if present.
 func (c *entryCache) termAt(index uint64) (uint64, bool) {
-	if ce, ok := c.entries[index]; ok {
-		return ce.meta.OpID.Term, true
+	if !c.holds(index) {
+		return 0, false
 	}
-	return 0, false
+	return c.slot(index).e.OpID.Term, true
+}
+
+// dropFirst evicts the oldest cached entry, clearing its slot so the
+// payload can be collected.
+func (c *entryCache) dropFirst() {
+	s := c.slot(c.first)
+	c.bytes -= len(s.e.Payload)
+	*s = cachedEntry{}
+	c.first++
+	c.n--
 }
 
 // truncateAfter drops cached entries with index > index.
 func (c *entryCache) truncateAfter(index uint64) {
-	if c.last == 0 || index >= c.last {
-		return
+	for c.n > 0 && c.first+uint64(c.n)-1 > index {
+		s := c.slot(c.first + uint64(c.n) - 1)
+		c.bytes -= len(s.e.Payload)
+		*s = cachedEntry{}
+		c.n--
 	}
-	for i := index + 1; i <= c.last; i++ {
-		delete(c.entries, i)
-	}
-	if index < c.first {
-		c.reset()
-		return
-	}
-	c.last = index
 }
 
 // dropBelow evicts every cached entry with index < floor. The purge
@@ -183,28 +218,22 @@ func (c *entryCache) truncateAfter(index uint64) {
 // for entries the log no longer retains — a lagging peer below the floor
 // must take the snapshot path, not be silently served from memory.
 func (c *entryCache) dropBelow(floor uint64) {
-	if c.first == 0 || floor <= c.first {
-		return
+	for c.n > 0 && c.first < floor {
+		c.dropFirst()
 	}
-	if floor > c.last {
-		c.reset()
-		return
-	}
-	for i := c.first; i < floor; i++ {
-		delete(c.entries, i)
-	}
-	c.first = floor
 }
 
+// reset empties the cache, keeping the ring for reuse.
 func (c *entryCache) reset() {
-	c.entries = make(map[uint64]*cachedEntry)
-	c.first, c.last = 0, 0
+	for c.n > 0 {
+		c.dropFirst()
+	}
 }
 
 // lastOpID returns the OpID of the cache tail, or zero when empty.
 func (c *entryCache) lastOpID() opid.OpID {
-	if c.last == 0 {
+	if c.n == 0 {
 		return opid.Zero
 	}
-	return c.entries[c.last].meta.OpID
+	return c.slot(c.first + uint64(c.n) - 1).e.OpID
 }

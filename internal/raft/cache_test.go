@@ -13,6 +13,16 @@ func cacheEntry(term, index uint64) *wire.LogEntry {
 	return &wire.LogEntry{OpID: opid.OpID{Term: term, Index: index}}
 }
 
+// slotOf returns the cache slot holding index (tests inspect the stored
+// form through it).
+func slotOf(t *testing.T, c *entryCache, index uint64) *cachedEntry {
+	t.Helper()
+	if !c.holds(index) {
+		t.Fatalf("index %d not cached", index)
+	}
+	return c.slot(index)
+}
+
 func TestCacheAddAndGet(t *testing.T) {
 	c := newEntryCache(10, true)
 	for i := uint64(1); i <= 5; i++ {
@@ -61,6 +71,12 @@ func TestCacheNonContiguousResets(t *testing.T) {
 	if e, ok := c.get(10); !ok || e.OpID.Term != 2 {
 		t.Fatal("new window missing")
 	}
+	// The reset cleared the old slots: no stale payload stays reachable.
+	for i := range c.slots {
+		if s := &c.slots[i]; s.e.OpID.Index != 0 && s.e.OpID.Index != 10 {
+			t.Fatalf("slot %d still holds index %d", i, s.e.OpID.Index)
+		}
+	}
 }
 
 func TestCacheTruncateAfter(t *testing.T) {
@@ -101,44 +117,162 @@ func TestCacheTermAt(t *testing.T) {
 	}
 }
 
-// Property: the cache window is always contiguous and within capacity.
+// Property: the cache window is always contiguous and within capacity,
+// every cached index sits in its own ring slot, and every other slot is
+// cleared.
 func TestCacheWindowInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
 		c := newEntryCache(8, true)
 		next := uint64(1)
 		for _, op := range ops {
-			switch op % 3 {
+			switch op % 4 {
 			case 0, 1:
-				c.add(cacheEntry(1, next))
+				c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: next}, Payload: []byte{byte(op)}})
 				next++
 			case 2:
 				cut := uint64(op) % (next + 1)
 				c.truncateAfter(cut)
 				if cut < next {
-					if cut == 0 || cut < c.first {
-						// window reset; next append may restart anywhere
-						next = cut + 1
-					} else {
-						next = cut + 1
-					}
+					next = cut + 1
 				}
+			case 3:
+				c.dropBelow(uint64(op) % (next + 1))
 			}
-			if len(c.entries) > 8 {
+			if c.n > 8 || len(c.slots) > 8 {
 				return false
 			}
-			if c.last != 0 {
-				for i := c.first; i <= c.last; i++ {
-					if _, ok := c.entries[i]; !ok {
-						return false
-					}
+			bytes, held := 0, 0
+			for i := range c.slots {
+				s := &c.slots[i]
+				if c.holds(s.e.OpID.Index) && c.slot(s.e.OpID.Index) == s {
+					bytes += len(s.e.Payload)
+					held++
+				} else if s.e.OpID != opid.Zero || s.e.Payload != nil {
+					return false // a slot outside the window was not cleared
 				}
+			}
+			if held != c.n || bytes != c.bytes {
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCacheRingWrapsAround: far more entries than the ring holds keep
+// landing in index mod capacity, and the ring grows lazily to the cap.
+func TestCacheRingWrapsAround(t *testing.T) {
+	c := newEntryCache(100, false)
+	c.add(cacheEntry(1, 1))
+	if len(c.slots) != 64 {
+		t.Fatalf("first add sized the ring to %d slots, want 64", len(c.slots))
+	}
+	for i := uint64(2); i <= 1000; i++ {
+		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: i}, Payload: []byte{byte(i)}})
+	}
+	if len(c.slots) != 100 || c.n != 100 || c.first != 901 {
+		t.Fatalf("ring %d slots holding %d from %d, want 100 holding 100 from 901", len(c.slots), c.n, c.first)
+	}
+	for i := uint64(901); i <= 1000; i++ {
+		e, ok := c.get(i)
+		if !ok || e.OpID.Index != i || e.Payload[0] != byte(i) {
+			t.Fatalf("get(%d) = %+v %v", i, e, ok)
+		}
+	}
+	if _, ok := c.get(900); ok {
+		t.Fatal("evicted entry still served")
+	}
+}
+
+// TestCacheDropBelowAndResetClearSlots: evictions clear the slots they
+// free, so the ring never pins a payload it no longer serves.
+func TestCacheDropBelowAndResetClearSlots(t *testing.T) {
+	c := newEntryCache(16, false)
+	for i := uint64(1); i <= 10; i++ {
+		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: i}, Payload: make([]byte, 10)})
+	}
+	c.dropBelow(7)
+	if c.first != 7 || c.n != 4 || c.bytes != 40 {
+		t.Fatalf("after dropBelow(7): first %d n %d bytes %d", c.first, c.n, c.bytes)
+	}
+	for i := uint64(1); i < 7; i++ {
+		if s := c.slot(i); s.e.Payload != nil {
+			t.Fatalf("slot of dropped index %d still holds a payload", i)
+		}
+	}
+	c.reset()
+	if c.n != 0 || c.bytes != 0 {
+		t.Fatalf("after reset: n %d bytes %d", c.n, c.bytes)
+	}
+	for i := range c.slots {
+		if c.slots[i].e.Payload != nil {
+			t.Fatalf("slot %d still holds a payload after reset", i)
+		}
+	}
+}
+
+// TestCacheByteBoundEvicts: payload bytes, not just the entry count,
+// bound the cache.
+func TestCacheByteBoundEvicts(t *testing.T) {
+	c := newEntryCache(1000, false)
+	chunk := cacheBytes / 4
+	for i := uint64(1); i <= 6; i++ {
+		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: i}, Payload: make([]byte, chunk)})
+	}
+	if c.n != 4 || c.first != 3 || c.bytes != cacheBytes {
+		t.Fatalf("cache holds %d from %d (%d bytes), want 4 from 3", c.n, c.first, c.bytes)
+	}
+	// One payload over the whole bound is not cached and empties the
+	// cache; the next entry starts a fresh window.
+	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 7}, Payload: make([]byte, cacheBytes+1)})
+	if c.n != 0 || c.bytes != 0 {
+		t.Fatalf("cache holds %d entries after an oversized add", c.n)
+	}
+	c.add(cacheEntry(1, 8))
+	if _, ok := c.get(8); !ok {
+		t.Fatal("entry after the oversized one not cached")
+	}
+}
+
+// TestCacheSharesPayloads: the cache keeps and returns the appended
+// payload itself (the immutable-payload rule), not a copy.
+func TestCacheSharesPayloads(t *testing.T) {
+	c := newEntryCache(10, false)
+	payload := []byte("shared")
+	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
+	got, _ := c.get(1)
+	if &got.Payload[0] != &payload[0] {
+		t.Fatal("get returned a copy of the payload")
+	}
+}
+
+// TestCacheAddAndGetAllocateNothing pins the uncompressed hot path:
+// add copies a header into a slot, get returns a value.
+func TestCacheAddAndGetAllocateNothing(t *testing.T) {
+	c := newEntryCache(64, false)
+	payload := make([]byte, 600)
+	next := uint64(1)
+	for ; next <= 64; next++ { // grow the ring to its cap first
+		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: next}, Payload: payload})
+	}
+	e := wire.LogEntry{Kind: 1, HasGTID: true, Payload: payload}
+	if n := testing.AllocsPerRun(500, func() {
+		e.OpID = opid.OpID{Term: 1, Index: next}
+		c.add(&e)
+		next++
+	}); n != 0 {
+		t.Errorf("add: %v allocs, want 0", n)
+	}
+	var sink wire.LogEntry
+	if n := testing.AllocsPerRun(500, func() {
+		sink, _ = c.get(next - 1)
+	}); n != 0 {
+		t.Errorf("get: %v allocs, want 0", n)
+	}
+	_ = sink
 }
 
 func TestCacheCompressesLargePayloads(t *testing.T) {
@@ -147,12 +281,12 @@ func TestCacheCompressesLargePayloads(t *testing.T) {
 	payload := bytes.Repeat([]byte("abcdefgh"), 512)
 	e := &wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload}
 	c.add(e)
-	ce := c.entries[1]
+	ce := slotOf(t, c, 1)
 	if !ce.compressed {
 		t.Fatal("compressible payload stored uncompressed")
 	}
-	if len(ce.payload) >= len(payload) {
-		t.Fatalf("no space saved: %d vs %d", len(ce.payload), len(payload))
+	if len(ce.e.Payload) >= len(payload) {
+		t.Fatalf("no space saved: %d vs %d", len(ce.e.Payload), len(payload))
 	}
 	got, ok := c.get(1)
 	if !ok || !bytes.Equal(got.Payload, payload) {
@@ -176,7 +310,7 @@ func TestCacheSkipsIncompressiblePayloads(t *testing.T) {
 		payload[i] = byte(rnd >> 24)
 	}
 	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
-	if c.entries[1].compressed {
+	if slotOf(t, c, 1).compressed {
 		t.Fatal("incompressible payload stored compressed")
 	}
 	got, ok := c.get(1)
@@ -188,7 +322,7 @@ func TestCacheSkipsIncompressiblePayloads(t *testing.T) {
 func TestCacheSmallPayloadsUncompressed(t *testing.T) {
 	c := newEntryCache(10, true)
 	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: []byte("tiny")})
-	if c.entries[1].compressed {
+	if slotOf(t, c, 1).compressed {
 		t.Fatal("tiny payload compressed")
 	}
 	got, _ := c.get(1)
@@ -219,7 +353,7 @@ func TestCacheUncompressedMode(t *testing.T) {
 	c := newEntryCache(10, false)
 	payload := bytes.Repeat([]byte("abcdefgh"), 512)
 	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
-	if c.entries[1].compressed {
+	if slotOf(t, c, 1).compressed {
 		t.Fatal("compression ran with compress=false")
 	}
 	got, ok := c.get(1)

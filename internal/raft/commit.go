@@ -138,7 +138,9 @@ func (n *Node) setCommitIndex(index uint64) {
 
 // Propose appends a client transaction to the replicated log. It returns
 // the assigned OpID; the caller then blocks in WaitCommitted (stage 2 of
-// the commit pipeline, §3.4). Only the leader accepts proposals.
+// the commit pipeline, §3.4). Only the leader accepts proposals. The
+// payload becomes the log entry's and must not be modified afterwards
+// (see LogStore.Append).
 func (n *Node) Propose(payload []byte, g gtid.GTID, hasGTID bool) (opid.OpID, error) {
 	return n.propose(payload, g, hasGTID, entryNormalKind)
 }
@@ -204,7 +206,8 @@ type ProposeReq struct {
 // pays them once per group. On a mid-batch append failure the OpIDs of
 // the appended prefix are returned alongside the error — those entries
 // are in the log and will replicate; everything past the prefix was not
-// appended.
+// appended. As with Propose, each payload is the log entry's from then on
+// and must not be modified.
 func (n *Node) ProposeBatch(reqs []ProposeReq) ([]opid.OpID, error) {
 	if len(reqs) == 0 {
 		return nil, nil

@@ -16,7 +16,7 @@ import (
 	"context"
 	"time"
 
-	"myraft/internal/wire"
+	"myraft/internal/quorum"
 )
 
 // leaseTracker is the leader-lease clock arithmetic, kept free of Node
@@ -104,20 +104,20 @@ func (n *Node) beginReadRound() {
 // data-commit quorum, renews the lease from its start time, and resolves
 // ReadIndex waits. Called whenever an ack lands or a round begins (the
 // latter settles single-voter quorums immediately).
+//
+// A round is confirmed when the members that echoed it or a later one
+// satisfy the quorum, so the newest confirmed round number is the
+// data-commit watermark of the members' echoed round numbers: the same
+// computation as the commit index over match indexes, and just as
+// allocation-free (quorum.CommittedIndex).
 func (n *Node) advanceReadRounds() {
 	if n.role != RoleLeader || len(n.hbRounds) == 0 {
 		return
 	}
+	w := quorum.CommittedIndex(n.strategy(), n.voters, n.cfg.Region, n.ackVector())
 	confirmed := -1
 	for i := len(n.hbRounds) - 1; i >= 0; i-- {
-		r := n.hbRounds[i]
-		acks := map[wire.NodeID]bool{n.cfg.ID: true}
-		for id, ps := range n.peers {
-			if ps.ackSeq >= r.seq {
-				acks[id] = true
-			}
-		}
-		if n.strategy().DataCommitSatisfied(n.members, n.cfg.Region, acks) {
+		if n.hbRounds[i].seq <= w {
 			confirmed = i
 			break
 		}
@@ -132,6 +132,24 @@ func (n *Node) advanceReadRounds() {
 		n.confirmedSeq = r.seq
 	}
 	n.completeReadWaiters()
+}
+
+// ackVector returns each member's newest echoed round in n.members order,
+// as quorum.CommittedIndex takes it, in the node's reusable scratch
+// slice. This node vouches for every round it opened.
+func (n *Node) ackVector() []uint64 {
+	acks := n.ackScratch[:0]
+	for _, m := range n.members.Members {
+		var seq uint64
+		if m.ID == n.cfg.ID {
+			seq = n.hbSeq
+		} else if ps := n.peers[m.ID]; ps != nil {
+			seq = ps.ackSeq
+		}
+		acks = append(acks, seq)
+	}
+	n.ackScratch = acks
+	return acks
 }
 
 // completeReadWaiters resolves ReadIndex waits whose round is confirmed

@@ -64,11 +64,12 @@ type Node struct {
 	lastLeaderContact time.Time
 
 	// members is the active membership and voters its cached voter layout
-	// (both replaced together by setMembers); matchScratch is the reusable
-	// per-member match vector of matchVector.
+	// (both replaced together by setMembers); matchScratch and ackScratch
+	// are the reusable per-member vectors of matchVector and ackVector.
 	members      wire.Config
 	voters       *quorum.Voters
 	matchScratch []uint64
+	ackScratch   []uint64
 	confHistory  []confVersion
 
 	commitIndex uint64
@@ -455,12 +456,17 @@ func (n *Node) termAt(index uint64) (uint64, bool) {
 	return e.OpID.Term, true
 }
 
-// entryAt reads the entry at index from cache or the log store.
-func (n *Node) entryAt(index uint64) (*wire.LogEntry, bool) {
+// entryAt reads the entry at index from cache or the log store. The
+// payload is shared with the log, not copied (see LogStore.Append).
+func (n *Node) entryAt(index uint64) (wire.LogEntry, bool) {
 	if e, ok := n.cache.get(index); ok {
 		return e, true
 	}
-	return n.storeEntry(index)
+	e, ok := n.storeEntry(index)
+	if !ok {
+		return wire.LogEntry{}, false
+	}
+	return *e, true
 }
 
 // metaAt returns the header-only form of the entry at index (Payload

@@ -86,7 +86,10 @@ type Transport interface {
 // MySQL binlog files natively, so the plugin specializes this interface
 // over the binlog. All indexes are contiguous; Append must reject gaps.
 type LogStore interface {
-	// Append writes one entry at the tail.
+	// Append writes one entry at the tail. A log entry's payload is
+	// immutable once appended: the node's entry cache and the store may
+	// both keep e.Payload itself and hand it to readers, so nobody may
+	// modify it afterwards.
 	Append(e *wire.LogEntry) error
 	// Entry reads the entry at index, possibly parsing historical log
 	// files on disk (the lagging-follower path of §3.1).

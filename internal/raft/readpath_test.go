@@ -208,8 +208,13 @@ func TestLeaseReadOnLeader(t *testing.T) {
 	n0 := c.elect("n0")
 
 	// The lease is earned by the first quorum-confirmed heartbeat round of
-	// the term; wait for it rather than racing the heartbeats.
-	c.waitCondition("lease held", func() bool { return n0.Status().LeaseHeld })
+	// the term, and LeaseRead also needs the term's No-Op (the log tail)
+	// committed; wait for both rather than racing the heartbeats and the
+	// No-Op's fsyncs, which complete in either order.
+	c.waitCondition("lease held, no-op committed", func() bool {
+		st := n0.Status()
+		return st.LeaseHeld && st.CommitIndex >= st.LastOpID.Index
+	})
 
 	idx, err := n0.LeaseRead()
 	if err != nil {

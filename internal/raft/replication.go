@@ -101,7 +101,7 @@ func (n *Node) sendAppend(peer wire.NodeID) {
 		if !ok {
 			break
 		}
-		entries = append(entries, *e)
+		entries = append(entries, e)
 	}
 	ps.scratch = entries
 
@@ -331,9 +331,8 @@ func (n *Node) reconstitute(req *wire.AppendEntriesReq) bool {
 		if !ok || local.OpID != e.OpID {
 			return false
 		}
-		full := *local
-		full.IsProxy = false
-		req.Entries[i] = full
+		local.IsProxy = false
+		req.Entries[i] = local
 	}
 	return true
 }

@@ -90,7 +90,10 @@ func randomChanges(rng *rand.Rand) []RowChange {
 	return changes
 }
 
-func TestEncodersMatchReferenceBytes(t *testing.T) {
+// changesCorpus is the reference-bytes corpus: edge cases, 500 seeded
+// random change lists, and one past maxWriteset keys. The payload fuzz
+// targets seed from it too.
+func changesCorpus() [][]RowChange {
 	rng := rand.New(rand.NewSource(16))
 	corpus := [][]RowChange{nil, {}, {{Key: "k"}}, {{Key: "k", After: []byte("v")}}}
 	for i := 0; i < 500; i++ {
@@ -101,9 +104,12 @@ func TestEncodersMatchReferenceBytes(t *testing.T) {
 	for i := range big {
 		big[i] = RowChange{Key: string(binary.BigEndian.AppendUint32(nil, uint32(i))), After: []byte("v")}
 	}
-	corpus = append(corpus, big)
+	return append(corpus, big)
+}
 
-	for i, changes := range corpus {
+func TestEncodersMatchReferenceBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i, changes := range changesCorpus() {
 		if got, want := EncodeChanges(changes), refEncodeChanges(changes); !bytes.Equal(got, want) {
 			t.Fatalf("corpus %d: EncodeChanges differs from reference", i)
 		}

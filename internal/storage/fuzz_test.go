@@ -1,0 +1,67 @@
+package storage
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
+
+// addPayloadSeeds seeds f with both framings of every change list in the
+// reference corpus that is small enough to keep the seed set light.
+func addPayloadSeeds(f *testing.F) {
+	for _, changes := range changesCorpus() {
+		if changesSize(changes) <= 8192 {
+			f.Add(EncodeChanges(changes))
+			f.Add(EncodeTxnPayload(changes))
+		}
+	}
+	f.Add([]byte{})
+}
+
+// FuzzDecodeChanges: decoding arbitrary payload bytes never panics, and a
+// successful decode re-encodes to the change-list bytes it parsed (the
+// payload minus any writeset section, which DecodeChanges skips).
+func FuzzDecodeChanges(f *testing.F) {
+	addPayloadSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		changes, err := DecodeChanges(data)
+		if err != nil {
+			return
+		}
+		_, rest, err := splitPayload(data)
+		if err != nil {
+			t.Fatalf("DecodeChanges accepted a payload splitPayload rejects: %v", err)
+		}
+		if got := EncodeChanges(changes); !bytes.Equal(got, rest) {
+			t.Fatalf("re-encoding %d changes differs from the decoded bytes", len(changes))
+		}
+	})
+}
+
+// FuzzDecodeTxnPayload: decoding arbitrary payload bytes never panics, and
+// a successful decode re-frames (writeset section, when present, then the
+// change list) to exactly the input.
+func FuzzDecodeTxnPayload(f *testing.F) {
+	addPayloadSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		changes, ws, err := DecodeTxnPayload(data)
+		if err != nil {
+			return
+		}
+		var got []byte
+		if ws != nil {
+			got = binary.BigEndian.AppendUint32(got, payloadMagicV2)
+			got = binary.BigEndian.AppendUint32(got, uint32(len(ws)))
+			for _, h := range ws {
+				got = binary.BigEndian.AppendUint64(got, h)
+			}
+		}
+		got = appendChanges(got, changes)
+		if !bytes.Equal(got, data) {
+			t.Fatalf("re-framing %d changes (%d writeset hashes) differs from the input", len(changes), len(ws))
+		}
+		if pws, ok := PayloadWriteset(data); ok != (ws != nil) || len(pws) != len(ws) {
+			t.Fatalf("PayloadWriteset = %d hashes (ok %v), DecodeTxnPayload %d", len(pws), ok, len(ws))
+		}
+	})
+}

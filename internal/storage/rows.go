@@ -101,9 +101,11 @@ func decodeChangeList(data []byte) ([]RowChange, error) {
 	}
 	n := binary.BigEndian.Uint32(data)
 	data = data[4:]
-	const maxChanges = 1 << 20
-	if n > maxChanges {
-		return nil, fmt.Errorf("storage: change count %d too large", n)
+	// Every change carries three 4-byte length prefixes, so a count the
+	// remaining bytes cannot hold is corrupt (and must not size an
+	// allocation).
+	if uint64(n)*12 > uint64(len(data)) {
+		return nil, fmt.Errorf("storage: change count %d too large for %d bytes", n, len(data))
 	}
 	changes := make([]RowChange, 0, n)
 	for i := uint32(0); i < n; i++ {

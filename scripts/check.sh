@@ -33,6 +33,7 @@ parallelapply	y	writeset-scheduled replica applier slice
 obs	y	write-path tracing + metrics export slice
 pipeline	y	pipelined group-commit slice
 bench	y	durability pipeline bench smoke
+fuzz	n	30 s per fuzz target over the disk and payload decoders
 repobench	y	bench/ module vet + tests and a 1 s-per-run smoke of the repo benchmark
 chaos	n	fixed-seed chaos table (paper ring, 4 shards, split under load)"
 
@@ -41,6 +42,7 @@ chaos	n	fixed-seed chaos table (paper ring, 4 shards, split under load)"
 #   ./pkg=Regex            go test ./pkg -run 'Regex'
 #   race:./p1 ./p2         go test -race -p 1 ./p1 ./p2
 #   bench:./pkg=Regex      go test ./pkg -run '^$' -bench=Regex -benchtime=1x
+#   fuzz:./pkg=Target      go test ./pkg -run '^$' -fuzz='^Target$' -fuzztime=30s
 # (-p 1 for race rows: timing-sensitive integration tests get the machine
 # to themselves — concurrent race-instrumented packages slow the
 # schedulers enough to trip failover timeouts. One bench iteration keeps
@@ -83,13 +85,16 @@ stage_spec() {
 		# The parallel-apply slice across its layers: writeset extraction
 		# and payload framing, dependency tracking and batch scheduling
 		# (the serial-equivalence property tests), the coalesced commit
-		# notifier, and the range read the batch applier leans on. (Every
-		# chaos run applies in parallel and checks serial equivalence.)
+		# notifier, the range read the batch applier leans on, and the relay
+		# log's in-memory tail it reads from (tail = files, eviction, and a
+		# lagging replica catching up through the files, then from memory).
+		# (Every chaos run applies in parallel and checks serial
+		# equivalence.)
 		cat <<-EOF
 		./internal/storage=Writeset|TxnPayload
-		./internal/mysql=Parallel|Waiters|ApplyStatus
+		./internal/mysql=Parallel|Waiters|Apply
 		./internal/raft=CommitNotifier
-		./internal/binlog=Entries
+		./internal/binlog=Entries|Tail
 		bench:./internal/mysql=BenchmarkParallelApply
 		EOF
 		;;
@@ -108,20 +113,33 @@ stage_spec() {
 		;;
 	pipeline)
 		# The pipelined group-commit slice across its layers: batched raft
-		# ingress and the allocation-free commit advance it leans on, the
+		# ingress with the allocation-free commit advance, read-round
+		# confirmation, copy-free entry cache ring and GTID append path it
+		# leans on, the
 		# flusher/committer overlap with its durability, demotion-race,
 		# GTID-cursor and depth-1-serial contracts, engine sync coalescing,
 		# the byte-identical WAL/payload/binlog encoders, the loopback +
 		# drop-counter transport satellites, and the depth 1-vs-4 A/B
 		# bench. (Every chaos run commits through the depth-4 pipeline.)
 		cat <<-EOF
-		./internal/raft=ProposeBatch|AdvanceLeaderCommit|WaitDurable
+		./internal/raft=ProposeBatch|AdvanceLeaderCommit|WaitDurable|Cache|ReadRound
 		./internal/quorum
+		./internal/gtid
 		./internal/mysql=Pipeline|Demotion|GTIDCursor
 		./internal/storage=Sync|Encode
 		./internal/binlog=Encode
 		./internal/transport=TCPDrop|TCPLoopback
 		bench:.=BenchmarkGroupCommitPipeline
+		EOF
+		;;
+	fuzz)
+		# Decoders of bytes read back from disk: the binlog entry decoder
+		# (recovery and every in-memory-tail miss) and the transaction
+		# payload decoders the applier runs on every entry.
+		cat <<-EOF
+		fuzz:./internal/binlog=FuzzReadEntryAt
+		fuzz:./internal/storage=FuzzDecodeChanges
+		fuzz:./internal/storage=FuzzDecodeTxnPayload
 		EOF
 		;;
 	compaction)
@@ -184,6 +202,13 @@ run_stage() {
 	stage_spec "$1" | while IFS= read -r row; do
 		[ -n "$row" ] || continue
 		case "$row" in
+		fuzz:*)
+			spec=${row#fuzz:}
+			pkg=${spec%%=*}
+			target=${spec#*=}
+			echo "-- fuzz $target ($pkg, 30 s)"
+			go test "$pkg" -run '^$' -fuzz="^$target\$" -fuzztime=30s
+			;;
 		bench:*)
 			spec=${row#bench:}
 			pkg=${spec%%=*}
