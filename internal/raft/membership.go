@@ -51,6 +51,7 @@ func (n *Node) applyConfig(index uint64, cfg wire.Config) {
 func (n *Node) setMembers(cfg wire.Config) {
 	n.members = cfg
 	n.voters = quorum.NewVoters(cfg)
+	clear(n.routes)
 }
 
 func (n *Node) isVoter(id wire.NodeID) bool {

@@ -82,6 +82,13 @@ type Node struct {
 	transfer *transferState
 	override quorum.Strategy // quorum fixer override; nil normally
 
+	// routes caches cfg.Route per peer for the current membership;
+	// selfPath is the one-hop ReturnPath every AppendEntries starts with;
+	// planScratch is broadcastAppend's reusable plan buffer.
+	routes      map[wire.NodeID][]wire.NodeID
+	selfPath    []wire.NodeID
+	planScratch []appendPlan
+
 	waiters      []commitWaiter
 	pendingProxy []pendingProxy
 
@@ -185,6 +192,7 @@ func NewNode(cfg Config, log LogStore, cb Callbacks, tr Transport, clk clock.Clo
 		term:     hs.Term,
 		votedFor: hs.VotedFor,
 		peers:    make(map[wire.NodeID]*peerState),
+		selfPath: []wire.NodeID{cfg.ID},
 		api:      make(chan func(), 256),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

@@ -89,7 +89,9 @@ type LogStore interface {
 	// Append writes one entry at the tail. A log entry's payload is
 	// immutable once appended: the node's entry cache and the store may
 	// both keep e.Payload itself and hand it to readers, so nobody may
-	// modify it afterwards.
+	// modify it afterwards. On a follower e.Payload is a sub-slice of the
+	// AppendEntries frame it arrived in (wire.Unmarshal decodes in place),
+	// which is immutable too; a store that keeps it keeps the frame alive.
 	Append(e *wire.LogEntry) error
 	// Entry reads the entry at index, possibly parsing historical log
 	// files on disk (the lagging-follower path of §3.1).
@@ -155,7 +157,9 @@ func (NopCallbacks) OnMembershipChange(wire.Config) {}
 // RouteFunc plans the replication path from the leader to a peer for
 // Proxying (§4.2). It returns the hop list ending with the peer itself;
 // a single-element list means direct delivery. Nil RouteFunc means all
-// traffic is direct (vanilla Raft topology).
+// traffic is direct (vanilla Raft topology). It must depend on its
+// arguments only: a node calls it once per peer and membership and reuses
+// the list, which nobody may modify afterwards.
 type RouteFunc func(cfg wire.Config, self, peer wire.NodeID) []wire.NodeID
 
 // RegionProxyRoute is the paper's production routing policy: the leader

@@ -1,6 +1,8 @@
 package raft
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"myraft/internal/opid"
@@ -11,12 +13,44 @@ import (
 // broadcastAppend sends AppendEntries to every peer, batching from each
 // peer's next index. It doubles as the heartbeat when a peer is caught up,
 // and every broadcast opens a leadership-confirmation round (lease.go).
+// Direct peers at the same position get the same request, so it is built
+// once, and a batch of entries is encoded once for all of them.
 func (n *Node) broadcastAppend() {
 	n.beginReadRound()
 	readersWaiting := n.readRoundArmed
 	n.readRoundArmed = false
-	for id := range n.peers {
-		n.sendAppend(id)
+	all := n.planScratch[:0]
+	for id, ps := range n.peers {
+		p, ok := n.planAppend(id, ps)
+		if !ok {
+			continue
+		}
+		if p.route != nil {
+			n.sendPlanned(ps, p)
+			continue
+		}
+		all = append(all, p)
+	}
+	n.planScratch = all[:0]
+	plans := all
+	slices.SortFunc(plans, func(a, b appendPlan) int { return cmp.Compare(a.prev.Index, b.prev.Index) })
+	for len(plans) > 0 {
+		k := 1
+		for k < len(plans) && plans[k].prev == plans[0].prev {
+			k++
+		}
+		entries := n.buildBatch(n.peers[plans[0].peer], plans[0])
+		var msg wire.Message = n.appendReq(plans[0], entries)
+		if k > 1 && len(entries) > 0 {
+			if f, err := wire.NewFrame(msg); err == nil {
+				msg = f
+			}
+		}
+		for _, p := range plans[:k] {
+			n.tr.Send(p.hop, msg)
+			n.advanceNext(n.peers[p.peer], entries)
+		}
+		plans = plans[k:]
 	}
 	if readersWaiting {
 		// ReadIndex callers are parked on this round. A transport that
@@ -30,6 +64,15 @@ func (n *Node) broadcastAppend() {
 	n.advanceReadRounds()
 }
 
+// appendPlan is one AppendEntries before its entries are fetched: the
+// entry it follows and how it travels.
+type appendPlan struct {
+	peer  wire.NodeID
+	prev  opid.OpID
+	hop   wire.NodeID   // first hop: the peer itself unless proxied
+	route []wire.NodeID // hops after the first, ending at the peer; nil when direct
+}
+
 // sendAppend builds and transmits one AppendEntries to peer, applying the
 // proxy routing policy (§4.2). The leader keeps all bookkeeping; proxied
 // messages just carry PROXY_OP entries instead of payloads.
@@ -38,11 +81,26 @@ func (n *Node) sendAppend(peer wire.NodeID) {
 	if ps == nil {
 		return
 	}
+	if p, ok := n.planAppend(peer, ps); ok {
+		n.sendPlanned(ps, p)
+	}
+}
+
+// sendPlanned builds and sends one planned AppendEntries on its own.
+func (n *Node) sendPlanned(ps *peerState, p appendPlan) {
+	entries := n.buildBatch(ps, p)
+	n.tr.Send(p.hop, n.appendReq(p, entries))
+	n.advanceNext(ps, entries)
+}
+
+// planAppend picks where peer's next AppendEntries starts and its route.
+// It reports false when the peer gets a snapshot chunk instead.
+func (n *Node) planAppend(peer wire.NodeID, ps *peerState) (appendPlan, bool) {
 	if ps.snapPending {
 		// Snapshot catch-up in progress: the heartbeat path re-sends the
 		// current chunk instead of AppendEntries (snapshot.go).
 		n.tickSnapshot(peer, ps)
-		return
+		return appendPlan{}, false
 	}
 	next := ps.next
 	if next == 0 {
@@ -58,7 +116,7 @@ func (n *Node) sendAppend(peer wire.NodeID) {
 		floor = n.snapOp.Index + 1
 	}
 	if next < floor && n.maybeSendSnapshot(peer, ps) {
-		return
+		return appendPlan{}, false
 	}
 	prevIndex := next - 1
 	prevTerm, ok := n.termAt(prevIndex)
@@ -68,7 +126,7 @@ func (n *Node) sendAppend(peer wire.NodeID) {
 		// back off to the oldest entry we do have — the pre-compaction
 		// behaviour, which suffices while nothing is purged.
 		if n.maybeSendSnapshot(peer, ps) {
-			return
+			return appendPlan{}, false
 		}
 		next = n.firstIndex
 		if next == 0 {
@@ -77,18 +135,22 @@ func (n *Node) sendAppend(peer wire.NodeID) {
 		prevIndex = next - 1
 		prevTerm, _ = n.termAt(prevIndex)
 	}
+	p := appendPlan{peer: peer, prev: opid.OpID{Term: prevTerm, Index: prevIndex}, hop: peer}
+	if route := n.routeFor(peer); len(route) > 1 {
+		p.hop, p.route = route[0], route[1:]
+	}
+	return p, true
+}
 
-	route := n.routeFor(peer)
-	proxied := len(route) > 1
-
-	// Build the batch into the peer's scratch buffer (the transport
-	// marshals synchronously and never shares memory with the receiver,
-	// so the buffer is free again once Send returns). On proxied routes
-	// the wire format strips payloads anyway, so fetch header metadata
-	// only — no cache decompression, no payload copies.
+// buildBatch fills the peer's scratch buffer with the entries after
+// p.prev (the transport marshals synchronously, so the buffer is free
+// again once Send returns). On proxied routes the wire format strips
+// payloads anyway, so fetch header metadata only — no cache
+// decompression, no payload copies.
+func (n *Node) buildBatch(ps *peerState, p appendPlan) []wire.LogEntry {
 	entries := ps.scratch[:0]
-	for idx := next; idx <= n.lastOpID.Index && len(entries) < n.cfg.BatchSize; idx++ {
-		if proxied {
+	for idx := p.prev.Index + 1; idx <= n.lastOpID.Index && len(entries) < n.cfg.BatchSize; idx++ {
+		if p.route != nil {
 			meta, ok := n.metaAt(idx)
 			if !ok {
 				break
@@ -104,30 +166,27 @@ func (n *Node) sendAppend(peer wire.NodeID) {
 		entries = append(entries, e)
 	}
 	ps.scratch = entries
+	return entries
+}
 
-	req := &wire.AppendEntriesReq{
+func (n *Node) appendReq(p appendPlan, entries []wire.LogEntry) *wire.AppendEntriesReq {
+	return &wire.AppendEntriesReq{
 		Term:        n.term,
 		LeaderID:    n.cfg.ID,
-		PrevOpID:    opid.OpID{Term: prevTerm, Index: prevIndex},
+		PrevOpID:    p.prev,
 		Entries:     entries,
 		CommitIndex: n.commitIndex,
 		// Individual resends reuse the current round: its start predates
 		// this send, so acking it remains a conservative leadership proof.
 		ReadSeq:    n.hbSeq,
-		ReturnPath: []wire.NodeID{n.cfg.ID},
+		Route:      p.route,
+		ReturnPath: n.selfPath,
 	}
+}
 
-	if proxied {
-		// Route carries the remaining hops ending at the peer.
-		req.Route = route[1:]
-		n.tr.Send(route[0], req)
-	} else {
-		req.Route = nil
-		n.tr.Send(peer, req)
-	}
-
-	// Optimistic pipelining: assume delivery and advance next; a
-	// rejection or the next heartbeat repairs the window.
+// advanceNext is optimistic pipelining: assume delivery and advance next;
+// a rejection or the next heartbeat repairs the window.
+func (n *Node) advanceNext(ps *peerState, entries []wire.LogEntry) {
 	if len(entries) > 0 {
 		ps.next = entries[len(entries)-1].OpID.Index + 1
 	}
@@ -135,20 +194,25 @@ func (n *Node) sendAppend(peer wire.NodeID) {
 
 // routeFor applies the routing policy plus the route-around health check
 // (§4.2.3): if the first hop has been silent too long, bypass it and send
-// directly.
+// directly. A route of at most one hop means direct. Routes are computed
+// once per peer and membership (setMembers clears them).
 func (n *Node) routeFor(peer wire.NodeID) []wire.NodeID {
 	if n.cfg.Route == nil {
-		return []wire.NodeID{peer}
+		return nil
 	}
-	route := n.cfg.Route(n.members, n.cfg.ID, peer)
-	if len(route) == 0 {
-		return []wire.NodeID{peer}
+	route, ok := n.routes[peer]
+	if !ok {
+		route = n.cfg.Route(n.members, n.cfg.ID, peer)
+		if n.routes == nil {
+			n.routes = make(map[wire.NodeID][]wire.NodeID)
+		}
+		n.routes[peer] = route
 	}
 	if len(route) > 1 {
 		hop := route[0]
 		if ps := n.peers[hop]; ps != nil {
 			if n.clk.Now().Sub(ps.lastAck) > n.cfg.RouteAroundAfter {
-				return []wire.NodeID{peer}
+				return nil
 			}
 		}
 	}
@@ -273,7 +337,7 @@ func respRoute(req *wire.AppendEntriesReq) []wire.NodeID {
 	if len(req.ReturnPath) <= 1 {
 		// Direct request: respond straight to the leader.
 		if len(req.ReturnPath) == 1 {
-			return []wire.NodeID{req.ReturnPath[0]}
+			return req.ReturnPath[:1:1]
 		}
 		return []wire.NodeID{req.LeaderID}
 	}

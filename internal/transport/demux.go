@@ -320,14 +320,23 @@ func (p *ShardPort) Flush() { p.d.Flush() }
 // AppendEntriesReq, no proxy route) are buffered for the next coalesced
 // flush when coalescing is on; everything else crosses immediately in a
 // ShardEnvelope.
+//
+// A *wire.Frame's bytes become the envelope's Inner as they are, shared by
+// every peer the frame goes to (frames are immutable once sent, see
+// Network.Send).
 func (p *ShardPort) Send(to wire.NodeID, msg wire.Message) error {
 	d := p.d
+	var inner []byte
+	if f, ok := msg.(*wire.Frame); ok {
+		inner = f.Data
+	} else {
+		var err error
+		if inner, err = wire.Marshal(msg); err != nil {
+			return err
+		}
+	}
 	if d.cfg.FlushInterval > 0 {
-		if req, ok := msg.(*wire.AppendEntriesReq); ok && len(req.Entries) == 0 && len(req.Route) == 0 {
-			data, err := wire.Marshal(req)
-			if err != nil {
-				return err
-			}
+		if req, ok := wire.Unwrap(msg).(*wire.AppendEntriesReq); ok && len(req.Entries) == 0 && len(req.Route) == 0 {
 			d.mu.Lock()
 			if !d.closed {
 				m := d.hbBuf[to]
@@ -337,15 +346,11 @@ func (p *ShardPort) Send(to wire.NodeID, msg wire.Message) error {
 				}
 				// Latest wins: a follower echoing ReadSeq s acks every
 				// round ≤ s, so dropping the older buffered round is safe.
-				m[p.shard] = data
+				m[p.shard] = inner
 			}
 			d.mu.Unlock()
 			return nil
 		}
-	}
-	inner, err := wire.Marshal(msg)
-	if err != nil {
-		return err
 	}
 	d.count(&d.direct)
 	return d.ep.Send(to, &wire.ShardEnvelope{Shard: p.shard, Inner: inner})

@@ -132,15 +132,14 @@ func (t *TCPNode) Send(to wire.NodeID, msg wire.Message) error {
 		closed := t.closed
 		t.mu.Unlock()
 		if !closed {
-			t.deliver(Envelope{From: t.id, To: t.id, Msg: msg})
+			t.deliver(Envelope{From: t.id, To: t.id, Msg: wire.Unwrap(msg)})
 		}
 		return nil
 	}
-	data, err := wire.Marshal(msg)
+	frame, err := encodeFrame(t.id, msg)
 	if err != nil {
 		return fmt.Errorf("transport: %w", err)
 	}
-	frame := encodeFrame(t.id, data)
 
 	t.mu.Lock()
 	if t.closed {
@@ -253,10 +252,15 @@ func (t *TCPNode) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
+	var from wire.NodeID // a connection carries one sender: keep its ID
+	var hdr [4]byte
 	for {
-		from, data, err := readFrame(conn)
+		sender, data, err := readFrame(conn, &hdr)
 		if err != nil {
 			return
+		}
+		if string(sender) != string(from) {
+			from = wire.NodeID(sender)
 		}
 		msg, err := wire.Unmarshal(data)
 		if err != nil {
@@ -303,36 +307,36 @@ func (t *TCPNode) Close() error {
 	return err
 }
 
-// encodeFrame builds [total len][sender len][sender][payload].
-func encodeFrame(from wire.NodeID, payload []byte) []byte {
-	sender := []byte(from)
-	total := 2 + len(sender) + len(payload)
-	buf := make([]byte, 4+total)
+// encodeFrame builds [total len][sender len][sender][message] in one
+// buffer of exactly that size, marshalling msg straight into it.
+func encodeFrame(from wire.NodeID, msg wire.Message) ([]byte, error) {
+	total := 2 + len(from) + msg.EncodedSize()
+	buf := make([]byte, 6, 4+total)
 	binary.BigEndian.PutUint32(buf, uint32(total))
-	binary.BigEndian.PutUint16(buf[4:], uint16(len(sender)))
-	copy(buf[6:], sender)
-	copy(buf[6+len(sender):], payload)
-	return buf
+	binary.BigEndian.PutUint16(buf[4:], uint16(len(from)))
+	buf = append(buf, from...)
+	return wire.AppendMarshal(buf, msg)
 }
 
-// readFrame decodes one frame from r.
-func readFrame(r io.Reader) (wire.NodeID, []byte, error) {
-	var hdr [4]byte
+// readFrame decodes one frame from r into a buffer of its own: the sender
+// bytes and the message bytes it returns are never written again, so the
+// message decoded from them in place stays valid for the receiver. hdr is
+// the caller's scratch for the length prefix.
+func readFrame(r io.Reader, hdr *[4]byte) ([]byte, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	total := binary.BigEndian.Uint32(hdr[:])
 	if total < 2 || total > maxFrame {
-		return "", nil, errors.New("transport: bad frame length")
+		return nil, nil, errors.New("transport: bad frame length")
 	}
 	buf := make([]byte, total)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	senderLen := int(binary.BigEndian.Uint16(buf))
 	if 2+senderLen > len(buf) {
-		return "", nil, errors.New("transport: bad sender length")
+		return nil, nil, errors.New("transport: bad sender length")
 	}
-	from := wire.NodeID(buf[2 : 2+senderLen])
-	return from, buf[2+senderLen:], nil
+	return buf[2 : 2+senderLen], buf[2+senderLen:], nil
 }

@@ -14,7 +14,6 @@ package transport
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"time"
 
@@ -227,11 +226,13 @@ type link struct {
 // on a real network.
 //
 // Ownership: Send captures msg before it returns, so a sender may reuse
-// the message and every buffer it points at afterwards — with one
-// exception. The shard frames (*wire.ShardEnvelope,
-// *wire.CoalescedHeartbeat) carry bytes their sender marshalled for this
-// one send; Send takes those byte slices over as they are, and the sender
-// must not write to them again.
+// the message and every buffer it points at afterwards — except the bytes
+// that are already frames. A *wire.Frame's Data and the shard frames
+// (*wire.ShardEnvelope, *wire.CoalescedHeartbeat, handed over whole) are
+// delivered as they are, and nobody writes a frame once sent: the sender
+// must not touch them again, and the receiver, whose decoded message
+// points into them (wire.Unmarshal decodes in place), must not write to
+// them either.
 func (n *Network) Send(from, to wire.NodeID, msg wire.Message) error {
 	copyMsg, size, err := capture(msg)
 	if err != nil {
@@ -296,23 +297,25 @@ func (n *Network) Send(from, to wire.NodeID, msg wire.Message) error {
 	return nil
 }
 
-// capture returns the receiver's private copy of msg and its encoded
-// size. Ordinary messages go through the codec, so sender and receiver
-// never share memory, exactly as on a real network. A shard frame's
-// payload is already wire bytes that only this send holds: it gets a new
-// frame around the same bytes and the size the codec would have
-// produced, not a second encode and decode of every sharded message.
+// capture returns the message the receiver gets and its encoded size.
+// Ordinary messages go through the codec, so the receiver's message shares
+// no memory with the sender's, exactly as on a real network; a Frame is
+// decoded from the bytes it was encoded into once for all its receivers.
+// A shard frame is already wire bytes that only this send holds, so the
+// receiver gets the frame itself, metered at the size the codec would
+// have produced, not a second encode and decode of every sharded message.
 func capture(msg wire.Message) (wire.Message, int, error) {
+	var data []byte
 	switch m := msg.(type) {
-	case *wire.ShardEnvelope:
-		cp := *m
-		return &cp, m.EncodedSize(), nil
-	case *wire.CoalescedHeartbeat:
-		return &wire.CoalescedHeartbeat{Items: slices.Clone(m.Items)}, m.EncodedSize(), nil
-	}
-	data, err := wire.Marshal(msg)
-	if err != nil {
-		return nil, 0, fmt.Errorf("transport: %w", err)
+	case *wire.ShardEnvelope, *wire.CoalescedHeartbeat:
+		return msg, msg.EncodedSize(), nil
+	case *wire.Frame:
+		data = m.Data
+	default:
+		var err error
+		if data, err = wire.Marshal(msg); err != nil {
+			return nil, 0, fmt.Errorf("transport: %w", err)
+		}
 	}
 	cp, err := wire.Unmarshal(data)
 	if err != nil {

@@ -8,7 +8,9 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"myraft/internal/gtid"
 	"myraft/internal/opid"
@@ -41,6 +43,10 @@ const (
 // Message is implemented by every RPC payload.
 type Message interface {
 	Type() MsgType
+	// EncodedSize is len(Marshal(m)), computed without encoding: Marshal
+	// sizes its one buffer with it, and the in-process network meters
+	// frames it does not re-encode.
+	EncodedSize() int
 }
 
 // EntryType mirrors binlog entry types on the wire (the transport layer
@@ -58,6 +64,27 @@ type LogEntry struct {
 	GTID    gtid.GTID
 	Payload []byte
 	IsProxy bool
+	// ProxyLen is the payload length a PROXY_OP declares on the wire in
+	// place of the payload. Unmarshal sets it; Marshal writes
+	// len(Payload) instead when Payload is non-empty.
+	ProxyLen uint32
+}
+
+// encodedSize is the entry's length on the wire.
+func (le *LogEntry) encodedSize() int {
+	n := 16 + 1 + 1 + strSize(string(le.GTID.Source)) + 8 + 1 + 4
+	if !le.IsProxy {
+		n += len(le.Payload)
+	}
+	return n
+}
+
+// proxyLen is the payload length a PROXY_OP carries on the wire.
+func (le *LogEntry) proxyLen() uint32 {
+	if len(le.Payload) > 0 {
+		return uint32(len(le.Payload))
+	}
+	return le.ProxyLen
 }
 
 // Member describes one replicaset member inside a Config.
@@ -147,6 +174,14 @@ type AppendEntriesReq struct {
 
 func (*AppendEntriesReq) Type() MsgType { return MsgAppendEntriesReq }
 
+func (m *AppendEntriesReq) EncodedSize() int {
+	n := 1 + 8 + strSize(string(m.LeaderID)) + 16 + 8 + 8 + idsSize(m.Route) + idsSize(m.ReturnPath) + 4
+	for i := range m.Entries {
+		n += m.Entries[i].encodedSize()
+	}
+	return n
+}
+
 // AppendEntriesResp acknowledges replication. Route holds the remaining
 // upstream hops back to the leader for proxied exchanges.
 type AppendEntriesResp struct {
@@ -163,6 +198,10 @@ type AppendEntriesResp struct {
 }
 
 func (*AppendEntriesResp) Type() MsgType { return MsgAppendEntriesResp }
+
+func (m *AppendEntriesResp) EncodedSize() int {
+	return 1 + 8 + strSize(string(m.From)) + 1 + 8 + 8 + 8 + idsSize(m.Route)
+}
 
 // VoteKind selects the election round type.
 type VoteKind uint8
@@ -190,6 +229,10 @@ type RequestVoteReq struct {
 
 func (*RequestVoteReq) Type() MsgType { return MsgRequestVoteReq }
 
+func (m *RequestVoteReq) EncodedSize() int {
+	return 1 + 8 + strSize(string(m.Candidate)) + 16 + 1 + 16
+}
+
 // RequestVoteResp answers a vote solicitation. Granted responses carry
 // the voter's view of the last known leader (region and term): FlexiRaft's
 // single-region-dynamic mode derives the set of regions an election quorum
@@ -208,6 +251,10 @@ type RequestVoteResp struct {
 
 func (*RequestVoteResp) Type() MsgType { return MsgRequestVoteResp }
 
+func (m *RequestVoteResp) EncodedSize() int {
+	return 1 + 8 + strSize(string(m.From)) + 1 + 1 + strSize(m.Reason) + strSize(string(m.LastLeaderRegion)) + 8
+}
+
 // MockElectionResult reports the outcome of a mock election round back to
 // the leader that requested it (§4.3).
 type MockElectionResult struct {
@@ -218,6 +265,10 @@ type MockElectionResult struct {
 }
 
 func (*MockElectionResult) Type() MsgType { return MsgMockElectionResult }
+
+func (m *MockElectionResult) EncodedSize() int {
+	return 1 + 8 + strSize(string(m.From)) + 1 + strSize(m.Reason)
+}
 
 // StartElection asks the target to begin an election round. The current
 // leader sends it for graceful TransferLeadership (Mock=false, like Raft's
@@ -231,6 +282,8 @@ type StartElection struct {
 }
 
 func (*StartElection) Type() MsgType { return MsgStartElection }
+
+func (m *StartElection) EncodedSize() int { return 1 + 8 + strSize(string(m.From)) + 1 + 16 }
 
 // InstallSnapshotReq streams one chunk of an engine checkpoint to a
 // follower whose log no longer overlaps the leader's (its nextIndex fell
@@ -253,6 +306,10 @@ type InstallSnapshotReq struct {
 
 func (*InstallSnapshotReq) Type() MsgType { return MsgInstallSnapshotReq }
 
+func (m *InstallSnapshotReq) EncodedSize() int {
+	return 1 + 8 + strSize(string(m.LeaderID)) + 16 + strSize(m.GTIDSet) + 4 + len(m.Config) + 8 + 8 + 4 + len(m.Chunk) + 1
+}
+
 // InstallSnapshotResp acknowledges a snapshot chunk. NextOffset is the
 // next byte the follower wants, which lets the leader resume a transfer
 // after drops or restarts instead of starting over. Installed reports
@@ -267,6 +324,8 @@ type InstallSnapshotResp struct {
 }
 
 func (*InstallSnapshotResp) Type() MsgType { return MsgInstallSnapshotResp }
+
+func (m *InstallSnapshotResp) EncodedSize() int { return 1 + 8 + strSize(string(m.From)) + 1 + 8 + 1 }
 
 // ShardID identifies one raft ring (shard) inside a multi-shard process.
 // Shard 0 is a valid shard; single-ring deployments never emit shard
@@ -285,9 +344,6 @@ type ShardEnvelope struct {
 
 func (*ShardEnvelope) Type() MsgType { return MsgShardEnvelope }
 
-// EncodedSize is len(Marshal(m)) without encoding: tag, shard, and the
-// length-prefixed inner bytes. The in-process network meters shard
-// frames with it instead of serializing Inner a second time.
 func (m *ShardEnvelope) EncodedSize() int { return 1 + 4 + 4 + len(m.Inner) }
 
 // ShardHeartbeat is one shard's piggybacked heartbeat inside a
@@ -308,8 +364,6 @@ type CoalescedHeartbeat struct {
 
 func (*CoalescedHeartbeat) Type() MsgType { return MsgCoalescedHeartbeat }
 
-// EncodedSize is len(Marshal(m)) without encoding: tag, item count, and
-// per item its shard plus length-prefixed request bytes.
 func (m *CoalescedHeartbeat) EncodedSize() int {
 	n := 1 + 4
 	for _, it := range m.Items {
@@ -318,35 +372,225 @@ func (m *CoalescedHeartbeat) EncodedSize() int {
 	return n
 }
 
+// Frame is a message marshalled once for several sends: a leader that
+// sends the same AppendEntries batch to k peers encodes it once and hands
+// every Send the same Frame. Data is Marshal(Msg) and, like every frame
+// on this network, immutable once built. Transports that deliver message
+// objects unwrap it (Unwrap); those that ship bytes use Data as is.
+type Frame struct {
+	Msg  Message
+	Data []byte
+}
+
+// NewFrame marshals m once into a Frame.
+func NewFrame(m Message) (*Frame, error) {
+	data, err := Marshal(m)
+	if err != nil {
+		return nil, err
+	}
+	return &Frame{Msg: m, Data: data}, nil
+}
+
+func (f *Frame) Type() MsgType { return f.Msg.Type() }
+
+func (f *Frame) EncodedSize() int { return len(f.Data) }
+
+// Unwrap returns the message a Frame carries, or m itself.
+func Unwrap(m Message) Message {
+	if f, ok := m.(*Frame); ok {
+		return f.Msg
+	}
+	return m
+}
+
 // --- binary codec ---
+//
+// Encoding sizes before it fills: every message reports its exact
+// EncodedSize, Marshal allocates one buffer of that size, and the append*
+// helpers fill it without growing it. Decoding works in place: byte
+// fields are capacity-capped sub-slices of the frame, and node IDs and
+// GTID sources come from the intern table below.
 
-type encoder struct{ buf []byte }
+func strSize(s string) int { return 4 + len(s) }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) bool(v bool)  { e.u8(b2u(v)) }
-func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *encoder) opid(o opid.OpID) {
-	e.u64(o.Term)
-	e.u64(o.Index)
-}
-func (e *encoder) bytes(b []byte) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *encoder) str(s string) { e.bytes([]byte(s)) }
-func (e *encoder) nodeList(ids []NodeID) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(ids)))
+func idsSize(ids []NodeID) int {
+	n := 4
 	for _, id := range ids {
-		e.str(string(id))
+		n += strSize(string(id))
 	}
+	return n
 }
 
-func b2u(v bool) uint8 {
+func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
+func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+
+func appendBool(b []byte, v bool) []byte {
 	if v {
-		return 1
+		return append(b, 1)
 	}
-	return 0
+	return append(b, 0)
+}
+
+func appendOpID(b []byte, o opid.OpID) []byte {
+	return appendU64(appendU64(b, o.Term), o.Index)
+}
+
+func appendBytes(b, v []byte) []byte { return append(appendU32(b, uint32(len(v))), v...) }
+func appendStr(b []byte, s string) []byte {
+	return append(appendU32(b, uint32(len(s))), s...)
+}
+
+func appendIDs(b []byte, ids []NodeID) []byte {
+	b = appendU32(b, uint32(len(ids)))
+	for _, id := range ids {
+		b = appendStr(b, string(id))
+	}
+	return b
+}
+
+func appendLogEntry(b []byte, le *LogEntry) []byte {
+	b = appendOpID(b, le.OpID)
+	b = append(b, uint8(le.Kind))
+	b = appendBool(b, le.HasGTID)
+	b = appendStr(b, string(le.GTID.Source))
+	b = appendU64(b, uint64(le.GTID.ID))
+	b = appendBool(b, le.IsProxy)
+	if le.IsProxy {
+		// PROXY_OP: metadata only. The payload length is carried so the
+		// reconstituting proxy can sanity-check, but no payload bytes.
+		return appendU32(b, le.proxyLen())
+	}
+	return appendBytes(b, le.Payload)
+}
+
+// Marshal serializes a message with its type tag into one buffer of
+// exactly m.EncodedSize() bytes.
+func Marshal(m Message) ([]byte, error) {
+	return AppendMarshal(make([]byte, 0, m.EncodedSize()), m)
+}
+
+// AppendMarshal appends the encoding of m to dst and returns the extended
+// slice. With cap(dst)-len(dst) ≥ m.EncodedSize() it does not allocate.
+func AppendMarshal(dst []byte, m Message) ([]byte, error) {
+	b := dst
+	switch msg := m.(type) {
+	case *Frame:
+		return append(b, msg.Data...), nil
+	case *AppendEntriesReq:
+		b = append(b, uint8(MsgAppendEntriesReq))
+		b = appendU64(b, msg.Term)
+		b = appendStr(b, string(msg.LeaderID))
+		b = appendOpID(b, msg.PrevOpID)
+		b = appendU64(b, msg.CommitIndex)
+		b = appendU64(b, msg.ReadSeq)
+		b = appendIDs(b, msg.Route)
+		b = appendIDs(b, msg.ReturnPath)
+		b = appendU32(b, uint32(len(msg.Entries)))
+		for i := range msg.Entries {
+			b = appendLogEntry(b, &msg.Entries[i])
+		}
+	case *AppendEntriesResp:
+		b = append(b, uint8(MsgAppendEntriesResp))
+		b = appendU64(b, msg.Term)
+		b = appendStr(b, string(msg.From))
+		b = appendBool(b, msg.Success)
+		b = appendU64(b, msg.MatchIndex)
+		b = appendU64(b, msg.LastIndex)
+		b = appendU64(b, msg.ReadSeq)
+		b = appendIDs(b, msg.Route)
+	case *RequestVoteReq:
+		b = append(b, uint8(MsgRequestVoteReq))
+		b = appendU64(b, msg.Term)
+		b = appendStr(b, string(msg.Candidate))
+		b = appendOpID(b, msg.LastOpID)
+		b = append(b, uint8(msg.Kind))
+		b = appendOpID(b, msg.Snapshot)
+	case *RequestVoteResp:
+		b = append(b, uint8(MsgRequestVoteResp))
+		b = appendU64(b, msg.Term)
+		b = appendStr(b, string(msg.From))
+		b = appendBool(b, msg.Granted)
+		b = append(b, uint8(msg.Kind))
+		b = appendStr(b, msg.Reason)
+		b = appendStr(b, string(msg.LastLeaderRegion))
+		b = appendU64(b, msg.LastLeaderTerm)
+	case *MockElectionResult:
+		b = append(b, uint8(MsgMockElectionResult))
+		b = appendU64(b, msg.Term)
+		b = appendStr(b, string(msg.From))
+		b = appendBool(b, msg.Success)
+		b = appendStr(b, msg.Reason)
+	case *StartElection:
+		b = append(b, uint8(MsgStartElection))
+		b = appendU64(b, msg.Term)
+		b = appendStr(b, string(msg.From))
+		b = appendBool(b, msg.Mock)
+		b = appendOpID(b, msg.Snapshot)
+	case *InstallSnapshotReq:
+		b = append(b, uint8(MsgInstallSnapshotReq))
+		b = appendU64(b, msg.Term)
+		b = appendStr(b, string(msg.LeaderID))
+		b = appendOpID(b, msg.Anchor)
+		b = appendStr(b, msg.GTIDSet)
+		b = appendBytes(b, msg.Config)
+		b = appendU64(b, msg.Total)
+		b = appendU64(b, msg.Offset)
+		b = appendBytes(b, msg.Chunk)
+		b = appendBool(b, msg.Done)
+	case *InstallSnapshotResp:
+		b = append(b, uint8(MsgInstallSnapshotResp))
+		b = appendU64(b, msg.Term)
+		b = appendStr(b, string(msg.From))
+		b = appendBool(b, msg.Success)
+		b = appendU64(b, msg.NextOffset)
+		b = appendBool(b, msg.Installed)
+	case *ShardEnvelope:
+		b = append(b, uint8(MsgShardEnvelope))
+		b = appendU32(b, uint32(msg.Shard))
+		b = appendBytes(b, msg.Inner)
+	case *CoalescedHeartbeat:
+		b = append(b, uint8(MsgCoalescedHeartbeat))
+		b = appendU32(b, uint32(len(msg.Items)))
+		for _, it := range msg.Items {
+			b = appendU32(b, uint32(it.Shard))
+			b = appendBytes(b, it.Req)
+		}
+	default:
+		return dst, fmt.Errorf("wire: unknown message type %T", m)
+	}
+	return b, nil
+}
+
+// Intern table: decoding a node ID or GTID source returns a shared string
+// instead of a fresh one per field. It is direct-mapped: a slot keeps the
+// last string hashed to it and a collision replaces it, so the table is
+// bounded (internSlots strings of at most internMaxLen bytes) whatever
+// peers send, and a lookup is one atomic load and a compare.
+const (
+	internSlots  = 1024
+	internMaxLen = 64
+)
+
+var internTable [internSlots]atomic.Pointer[string]
+
+func intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > internMaxLen {
+		return string(b)
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	slot := &internTable[h&(internSlots-1)]
+	if p := slot.Load(); p != nil && *p == string(b) {
+		return *p
+	}
+	s := string(b)
+	slot.Store(&s)
+	return s
 }
 
 type decoder struct {
@@ -356,40 +600,50 @@ type decoder struct {
 
 func (d *decoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("wire: truncated %s", what)
+		d.err = errors.New("wire: " + what)
 	}
+}
+
+// take consumes n bytes, or fails and returns nil when fewer remain.
+func (d *decoder) take(n int, what string) []byte {
+	if d.err != nil || len(d.buf) < n {
+		d.fail("truncated " + what)
+		return nil
+	}
+	v := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	return v
 }
 
 func (d *decoder) u8() uint8 {
-	if d.err != nil || len(d.buf) < 1 {
-		d.fail("u8")
-		return 0
+	if b := d.take(1, "u8"); b != nil {
+		return b[0]
 	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
+	return 0
 }
 
-func (d *decoder) bool() bool { return d.u8() == 1 }
+// bool accepts only the two bytes the encoder writes, so a decoded frame
+// re-encodes byte for byte.
+func (d *decoder) bool() bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail(fmt.Sprintf("bool byte %d", v))
+	}
+	return v == 1
+}
 
 func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.buf) < 4 {
-		d.fail("u32")
-		return 0
+	if b := d.take(4, "u32"); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
+	return 0
 }
 
 func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.buf) < 8 {
-		d.fail("u64")
-		return 0
+	if b := d.take(8, "u64"); b != nil {
+		return binary.BigEndian.Uint64(b)
 	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
+	return 0
 }
 
 func (d *decoder) opid() opid.OpID {
@@ -398,117 +652,99 @@ func (d *decoder) opid() opid.OpID {
 	return opid.OpID{Term: t, Index: i}
 }
 
+// bytes returns a length-prefixed field as a sub-slice of the frame,
+// capacity-capped so that appending to it can never write into the
+// frame. Empty fields decode as nil.
 func (d *decoder) bytes() []byte {
-	if d.err != nil || len(d.buf) < 4 {
-		d.fail("bytes len")
+	n := d.u32()
+	if d.err != nil || n == 0 {
 		return nil
 	}
-	n := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
 	if uint32(len(d.buf)) < n {
-		d.fail("bytes body")
+		d.fail("truncated bytes body")
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := append([]byte{}, d.buf[:n]...)
+	v := d.buf[:n:n]
 	d.buf = d.buf[n:]
-	return out
+	return v
 }
 
 func (d *decoder) str() string { return string(d.bytes()) }
 
+// id decodes a node ID, GTID source or region through the intern table.
+func (d *decoder) id() string { return intern(d.bytes()) }
+
+// count reads an element count and rejects one the remaining bytes cannot
+// hold at minSize bytes per element, so a corrupt count never sizes an
+// allocation.
+func (d *decoder) count(minSize int, what string) int {
+	n := d.u32()
+	if d.err == nil && uint64(n)*uint64(minSize) > uint64(len(d.buf)) {
+		d.fail(fmt.Sprintf("%s count %d too large for %d bytes", what, n, len(d.buf)))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 func (d *decoder) nodeList() []NodeID {
-	if d.err != nil || len(d.buf) < 4 {
-		d.fail("node list")
-		return nil
-	}
-	n := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	if n > 1<<16 {
-		d.fail("node list size")
-		return nil
-	}
+	n := d.count(4, "node list")
 	if n == 0 {
 		return nil
 	}
-	out := make([]NodeID, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, NodeID(d.str()))
+	out := make([]NodeID, n)
+	for i := range out {
+		out[i] = NodeID(d.id())
 	}
 	return out
 }
 
-func encodeLogEntry(e *encoder, le *LogEntry) {
-	e.opid(le.OpID)
-	e.u8(uint8(le.Kind))
-	e.bool(le.HasGTID)
-	e.str(string(le.GTID.Source))
-	e.u64(uint64(le.GTID.ID))
-	e.bool(le.IsProxy)
-	if le.IsProxy {
-		// PROXY_OP: metadata only. The payload length is carried so the
-		// reconstituting proxy can sanity-check, but no payload bytes.
-		e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(le.Payload)))
-	} else {
-		e.bytes(le.Payload)
-	}
-}
+// minEntrySize is the encoded size of an entry with an empty GTID source
+// and no payload.
+const minEntrySize = 35
 
-func decodeLogEntry(d *decoder) LogEntry {
-	var le LogEntry
+func decodeLogEntry(d *decoder, le *LogEntry) {
 	le.OpID = d.opid()
 	le.Kind = EntryType(d.u8())
 	le.HasGTID = d.bool()
-	le.GTID.Source = gtid.UUID(d.str())
+	le.GTID.Source = gtid.UUID(d.id())
 	le.GTID.ID = int64(d.u64())
 	le.IsProxy = d.bool()
 	if le.IsProxy {
-		// length only; payload stays nil
-		if len(d.buf) < 4 {
-			d.fail("proxy len")
-		} else {
-			d.buf = d.buf[4:]
-		}
+		le.ProxyLen = d.u32() // length only; payload stays nil
 	} else {
 		le.Payload = d.bytes()
 	}
-	return le
 }
 
 // EncodeConfig serializes a Config for storage in an EntryConfig payload.
 func EncodeConfig(c Config) []byte {
-	e := &encoder{}
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(c.Members)))
+	n := 4
 	for _, m := range c.Members {
-		e.str(string(m.ID))
-		e.str(string(m.Region))
-		e.bool(m.Voter)
-		e.bool(m.Witness)
+		n += strSize(string(m.ID)) + strSize(string(m.Region)) + 2
 	}
-	return e.buf
+	b := appendU32(make([]byte, 0, n), uint32(len(c.Members)))
+	for _, m := range c.Members {
+		b = appendStr(b, string(m.ID))
+		b = appendStr(b, string(m.Region))
+		b = appendBool(b, m.Voter)
+		b = appendBool(b, m.Witness)
+	}
+	return b
 }
 
 // DecodeConfig parses an EntryConfig payload.
 func DecodeConfig(data []byte) (Config, error) {
 	d := &decoder{buf: data}
-	if len(d.buf) < 4 {
-		return Config{}, fmt.Errorf("wire: truncated config")
-	}
-	n := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	if n > 1<<16 {
-		return Config{}, fmt.Errorf("wire: config too large")
-	}
-	c := Config{Members: make([]Member, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		var m Member
-		m.ID = NodeID(d.str())
-		m.Region = Region(d.str())
+	n := d.count(4+4+1+1, "config member")
+	c := Config{Members: make([]Member, n)}
+	for i := range c.Members {
+		m := &c.Members[i]
+		m.ID = NodeID(d.id())
+		m.Region = Region(d.id())
 		m.Voter = d.bool()
 		m.Witness = d.bool()
-		c.Members = append(c.Members, m)
 	}
 	if d.err != nil {
 		return Config{}, d.err
@@ -519,87 +755,12 @@ func DecodeConfig(data []byte) (Config, error) {
 	return c, nil
 }
 
-// Marshal serializes a message with its type tag.
-func Marshal(m Message) ([]byte, error) {
-	e := &encoder{}
-	e.u8(uint8(m.Type()))
-	switch msg := m.(type) {
-	case *AppendEntriesReq:
-		e.u64(msg.Term)
-		e.str(string(msg.LeaderID))
-		e.opid(msg.PrevOpID)
-		e.u64(msg.CommitIndex)
-		e.u64(msg.ReadSeq)
-		e.nodeList(msg.Route)
-		e.nodeList(msg.ReturnPath)
-		e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(msg.Entries)))
-		for i := range msg.Entries {
-			encodeLogEntry(e, &msg.Entries[i])
-		}
-	case *AppendEntriesResp:
-		e.u64(msg.Term)
-		e.str(string(msg.From))
-		e.bool(msg.Success)
-		e.u64(msg.MatchIndex)
-		e.u64(msg.LastIndex)
-		e.u64(msg.ReadSeq)
-		e.nodeList(msg.Route)
-	case *RequestVoteReq:
-		e.u64(msg.Term)
-		e.str(string(msg.Candidate))
-		e.opid(msg.LastOpID)
-		e.u8(uint8(msg.Kind))
-		e.opid(msg.Snapshot)
-	case *RequestVoteResp:
-		e.u64(msg.Term)
-		e.str(string(msg.From))
-		e.bool(msg.Granted)
-		e.u8(uint8(msg.Kind))
-		e.str(msg.Reason)
-		e.str(string(msg.LastLeaderRegion))
-		e.u64(msg.LastLeaderTerm)
-	case *MockElectionResult:
-		e.u64(msg.Term)
-		e.str(string(msg.From))
-		e.bool(msg.Success)
-		e.str(msg.Reason)
-	case *StartElection:
-		e.u64(msg.Term)
-		e.str(string(msg.From))
-		e.bool(msg.Mock)
-		e.opid(msg.Snapshot)
-	case *InstallSnapshotReq:
-		e.u64(msg.Term)
-		e.str(string(msg.LeaderID))
-		e.opid(msg.Anchor)
-		e.str(msg.GTIDSet)
-		e.bytes(msg.Config)
-		e.u64(msg.Total)
-		e.u64(msg.Offset)
-		e.bytes(msg.Chunk)
-		e.bool(msg.Done)
-	case *InstallSnapshotResp:
-		e.u64(msg.Term)
-		e.str(string(msg.From))
-		e.bool(msg.Success)
-		e.u64(msg.NextOffset)
-		e.bool(msg.Installed)
-	case *ShardEnvelope:
-		e.u32(uint32(msg.Shard))
-		e.bytes(msg.Inner)
-	case *CoalescedHeartbeat:
-		e.u32(uint32(len(msg.Items)))
-		for _, it := range msg.Items {
-			e.u32(uint32(it.Shard))
-			e.bytes(it.Req)
-		}
-	default:
-		return nil, fmt.Errorf("wire: unknown message type %T", m)
-	}
-	return e.buf, nil
-}
-
-// Unmarshal parses a message produced by Marshal.
+// Unmarshal parses a message produced by Marshal. It decodes in place:
+// byte fields (entry payloads, ShardEnvelope.Inner, heartbeat Req,
+// snapshot Chunk and Config) are capacity-capped sub-slices of data, so
+// data must not be written again once it has been decoded — a received
+// frame is immutable, and its sub-slices go on to become log-entry
+// payloads. Unmarshal never writes into data.
 func Unmarshal(data []byte) (Message, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("wire: empty message")
@@ -610,31 +771,23 @@ func Unmarshal(data []byte) (Message, error) {
 	case MsgAppendEntriesReq:
 		msg := &AppendEntriesReq{}
 		msg.Term = d.u64()
-		msg.LeaderID = NodeID(d.str())
+		msg.LeaderID = NodeID(d.id())
 		msg.PrevOpID = d.opid()
 		msg.CommitIndex = d.u64()
 		msg.ReadSeq = d.u64()
 		msg.Route = d.nodeList()
 		msg.ReturnPath = d.nodeList()
-		if d.err == nil {
-			if len(d.buf) < 4 {
-				d.fail("entry count")
-			} else {
-				n := binary.BigEndian.Uint32(d.buf)
-				d.buf = d.buf[4:]
-				if n > 1<<20 {
-					d.fail("entry count size")
-				}
-				for i := uint32(0); i < n && d.err == nil; i++ {
-					msg.Entries = append(msg.Entries, decodeLogEntry(d))
-				}
+		if n := d.count(minEntrySize, "entry"); n > 0 {
+			msg.Entries = make([]LogEntry, n)
+			for i := range msg.Entries {
+				decodeLogEntry(d, &msg.Entries[i])
 			}
 		}
 		m = msg
 	case MsgAppendEntriesResp:
 		msg := &AppendEntriesResp{}
 		msg.Term = d.u64()
-		msg.From = NodeID(d.str())
+		msg.From = NodeID(d.id())
 		msg.Success = d.bool()
 		msg.MatchIndex = d.u64()
 		msg.LastIndex = d.u64()
@@ -644,7 +797,7 @@ func Unmarshal(data []byte) (Message, error) {
 	case MsgRequestVoteReq:
 		msg := &RequestVoteReq{}
 		msg.Term = d.u64()
-		msg.Candidate = NodeID(d.str())
+		msg.Candidate = NodeID(d.id())
 		msg.LastOpID = d.opid()
 		msg.Kind = VoteKind(d.u8())
 		msg.Snapshot = d.opid()
@@ -652,31 +805,31 @@ func Unmarshal(data []byte) (Message, error) {
 	case MsgRequestVoteResp:
 		msg := &RequestVoteResp{}
 		msg.Term = d.u64()
-		msg.From = NodeID(d.str())
+		msg.From = NodeID(d.id())
 		msg.Granted = d.bool()
 		msg.Kind = VoteKind(d.u8())
 		msg.Reason = d.str()
-		msg.LastLeaderRegion = Region(d.str())
+		msg.LastLeaderRegion = Region(d.id())
 		msg.LastLeaderTerm = d.u64()
 		m = msg
 	case MsgMockElectionResult:
 		msg := &MockElectionResult{}
 		msg.Term = d.u64()
-		msg.From = NodeID(d.str())
+		msg.From = NodeID(d.id())
 		msg.Success = d.bool()
 		msg.Reason = d.str()
 		m = msg
 	case MsgStartElection:
 		msg := &StartElection{}
 		msg.Term = d.u64()
-		msg.From = NodeID(d.str())
+		msg.From = NodeID(d.id())
 		msg.Mock = d.bool()
 		msg.Snapshot = d.opid()
 		m = msg
 	case MsgInstallSnapshotReq:
 		msg := &InstallSnapshotReq{}
 		msg.Term = d.u64()
-		msg.LeaderID = NodeID(d.str())
+		msg.LeaderID = NodeID(d.id())
 		msg.Anchor = d.opid()
 		msg.GTIDSet = d.str()
 		msg.Config = d.bytes()
@@ -688,7 +841,7 @@ func Unmarshal(data []byte) (Message, error) {
 	case MsgInstallSnapshotResp:
 		msg := &InstallSnapshotResp{}
 		msg.Term = d.u64()
-		msg.From = NodeID(d.str())
+		msg.From = NodeID(d.id())
 		msg.Success = d.bool()
 		msg.NextOffset = d.u64()
 		msg.Installed = d.bool()
@@ -700,15 +853,12 @@ func Unmarshal(data []byte) (Message, error) {
 		m = msg
 	case MsgCoalescedHeartbeat:
 		msg := &CoalescedHeartbeat{}
-		n := d.u32()
-		if n > 1<<16 {
-			d.fail("coalesced heartbeat count")
-		}
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			var it ShardHeartbeat
-			it.Shard = ShardID(d.u32())
-			it.Req = d.bytes()
-			msg.Items = append(msg.Items, it)
+		if n := d.count(4+4, "coalesced heartbeat"); n > 0 {
+			msg.Items = make([]ShardHeartbeat, n)
+			for i := range msg.Items {
+				msg.Items[i].Shard = ShardID(d.u32())
+				msg.Items[i].Req = d.bytes()
+			}
 		}
 		m = msg
 	default:

@@ -33,7 +33,7 @@ parallelapply	y	writeset-scheduled replica applier slice
 obs	y	write-path tracing + metrics export slice
 pipeline	y	pipelined group-commit slice
 bench	y	durability pipeline bench smoke
-fuzz	n	30 s per fuzz target over the disk and payload decoders
+fuzz	n	30 s per fuzz target over the disk, payload and wire decoders
 repobench	y	bench/ module vet + tests and a 1 s-per-run smoke of the repo benchmark
 chaos	n	fixed-seed chaos table (paper ring, 4 shards, split under load)"
 
@@ -119,27 +119,33 @@ stage_spec() {
 		# flusher/committer overlap with its durability, demotion-race,
 		# GTID-cursor and depth-1-serial contracts, engine sync coalescing,
 		# the byte-identical WAL/payload/binlog encoders, the loopback +
-		# drop-counter transport satellites, and the depth 1-vs-4 A/B
-		# bench. (Every chaos run commits through the depth-4 pipeline.)
+		# drop-counter transport satellites, the replication copy path
+		# (sized wire encoder against its reference, in-place decoding,
+		# one-buffer TCP frames, payloads surviving scratch reuse, one
+		# encode per broadcast), and the depth 1-vs-4 A/B bench. (Every
+		# chaos run commits through the depth-4 pipeline.)
 		cat <<-EOF
-		./internal/raft=ProposeBatch|AdvanceLeaderCommit|WaitDurable|Cache|ReadRound
+		./internal/raft=ProposeBatch|AdvanceLeaderCommit|WaitDurable|Cache|ReadRound|Broadcast
+		./internal/wire
 		./internal/quorum
 		./internal/gtid
 		./internal/mysql=Pipeline|Demotion|GTIDCursor
 		./internal/storage=Sync|Encode
 		./internal/binlog=Encode
-		./internal/transport=TCPDrop|TCPLoopback
+		./internal/transport=TCPDrop|TCPLoopback|Frame
 		bench:.=BenchmarkGroupCommitPipeline
 		EOF
 		;;
 	fuzz)
-		# Decoders of bytes read back from disk: the binlog entry decoder
-		# (recovery and every in-memory-tail miss) and the transaction
-		# payload decoders the applier runs on every entry.
+		# Decoders of bytes read back from disk or the network: the binlog
+		# entry decoder (recovery and every in-memory-tail miss), the
+		# transaction payload decoders the applier runs on every entry, and
+		# the wire decoder every received message goes through.
 		cat <<-EOF
 		fuzz:./internal/binlog=FuzzReadEntryAt
 		fuzz:./internal/storage=FuzzDecodeChanges
 		fuzz:./internal/storage=FuzzDecodeTxnPayload
+		fuzz:./internal/wire=FuzzUnmarshal
 		EOF
 		;;
 	compaction)
