@@ -1,7 +1,8 @@
 .PHONY: check lint test build vet race chaos bench repobench obs
 
 # Full gate: lint + build + tests (incl. the 20-seed chaos campaign) +
-# race detector + bench smoke. This is what CI runs.
+# race detector + feature slices + the repo benchmark's smoke. This is
+# what CI runs.
 check:
 	./scripts/check.sh
 
@@ -28,6 +29,7 @@ race:
 chaos:
 	./scripts/check.sh chaos
 
+# The paper's evaluation (Fig 5, Table 2, §4.1–§5.2), one iteration each.
 bench:
 	go test -bench=. -benchtime=1x -run '^$$' .
 

@@ -1,6 +1,6 @@
 // Package repro_bench holds the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (§6) plus the DESIGN.md
-// ablations. Each benchmark drives the corresponding experiment from
+// table and figure of the paper's evaluation (§6) plus the paper's
+// ablations (§4–§5). Each benchmark drives the corresponding experiment from
 // internal/experiments and reports the paper's headline metrics as
 // testing.B custom metrics, so
 //
@@ -21,14 +21,12 @@
 //	BenchmarkTable2SemiSyncPromotion       — Table 2 row "Semi-Sync Promotion"
 //	BenchmarkProxyingBandwidth             — §4.2.2 cross-region bandwidth
 //	BenchmarkFlexiRaftQuorumModes          — §4.1 quorum-mode ablation
-//	BenchmarkReadPathLevels                — read-path consistency levels
 //	BenchmarkMockElectionAblation          — §4.3 mock-election ablation
 //	BenchmarkEnableRaftWindow              — §5.2 rollout window
 package repro_bench
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -217,26 +215,6 @@ func BenchmarkFlexiRaftQuorumModes(b *testing.B) {
 	}
 }
 
-// BenchmarkReadPathLevels measures the three read consistency levels of
-// internal/readpath on the paper topology: linearizable ReadIndex reads
-// and lease reads on the leader, session (read-your-writes) reads on a
-// follower-region replica. The lease column should come in far below
-// ReadIndex — it skips the quorum round entirely.
-func BenchmarkReadPathLevels(b *testing.B) {
-	p := benchParams()
-	p.Scale = 1 // real WAN latencies so the quorum-round cost is visible
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ReadPathLevels(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLatency(b, "linearizable", res.Metrics.Linearizable)
-		reportLatency(b, "lease", res.Metrics.Lease)
-		reportLatency(b, "session", res.Metrics.Session)
-		b.ReportMetric(res.LeaseSpeedup(), "lease_speedup_x")
-	}
-}
-
 // BenchmarkMockElectionAblation regenerates the §4.3 ablation: write
 // downtime when transferring toward a lagging region, with and without
 // the mock-election pre-check.
@@ -269,86 +247,5 @@ func BenchmarkEnableRaftWindow(b *testing.B) {
 		if !res.DataPreserved {
 			b.Fatal("migration lost data")
 		}
-	}
-}
-
-// BenchmarkDurabilityPipeline measures the async durability pipeline
-// ablation (DESIGN.md): grouped off-loop fsyncs versus the
-// SyncEveryAppend policy on the same sysbench-style workload, with a
-// modeled 5ms device fsync (a battery-backed array under load). The grouped pipeline must amortize fsyncs
-// across concurrent commits (>= 2x throughput at 16 clients).
-func BenchmarkDurabilityPipeline(b *testing.B) {
-	p := benchParams()
-	p.Clients = 16
-	p.FsyncLatency = 5 * time.Millisecond
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.DurabilityPipeline(context.Background(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Grouped.Throughput(), "grouped_tput_per_s")
-		b.ReportMetric(res.SyncEvery.Throughput(), "sync_every_tput_per_s")
-		b.ReportMetric(res.Speedup(), "grouped_speedup_x")
-		b.ReportMetric(float64(res.GroupedStats.FsyncBatch.P99), "fsync_batch_p99")
-		reportLatency(b, "grouped", res.Grouped.Latency)
-		reportLatency(b, "sync_every", res.SyncEvery.Latency)
-	}
-}
-
-// BenchmarkGroupCommitPipeline measures the pipelined multi-group commit
-// (DESIGN.md §12): the same sysbench-style workload with the leader's
-// commit pipeline serial (depth 1, the pre-pipelining write path) versus
-// overlapped (depth 4), under a modeled 1ms intra-region RTT and 5ms
-// device fsync on both the log store and the engine WAL. Serial pays
-// flush + quorum + engine per group; pipelined pays only the slowest
-// stage (~2x committed txns/s at 16 clients; open-loop stage math
-// predicts 2.2x, single-core scheduling eats part of it). The topology
-// is one follower region: the quorum path is intra-region either way,
-// and extra regions only add event-loop churn on small CI hosts.
-func BenchmarkGroupCommitPipeline(b *testing.B) {
-	p := benchParams()
-	p.Clients = 16
-	p.FollowerRegions = 1
-	p.Learners = 0
-	p.FsyncLatency = 5 * time.Millisecond
-	p.Duration = 2 * time.Second
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.GroupCommitPipeline(context.Background(), p, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Serial.Throughput(), "depth1_tput_per_s")
-		b.ReportMetric(res.Pipelined.Throughput(), "depth4_tput_per_s")
-		b.ReportMetric(res.Speedup(), "pipeline_speedup_x")
-		b.ReportMetric(float64(res.PipelinedPipe.SyncsCoalesced), "syncs_coalesced")
-		b.ReportMetric(float64(res.PipelinedPipe.GroupSizeP95), "group_size_p95")
-		reportLatency(b, "depth1", res.Serial.Latency)
-		reportLatency(b, "depth4", res.Pipelined.Latency)
-	}
-}
-
-// BenchmarkMultiRaftShards measures the multi-shard runtime's scaling
-// (DESIGN.md §8) at 1, 4 and 16 rings per process: routed write
-// throughput, the physical heartbeat message rate per (node, peer) pair
-// per interval — held ≈1 by coalescing regardless of shard count — the
-// per-message shard fan-out, and the per-node sync groups' requests per
-// physical sync (1.0 by construction).
-func BenchmarkMultiRaftShards(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			p := benchParams()
-			p.Duration = time.Second
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.MultiRaftShards(context.Background(), p, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.WritesPerSec, "writes_per_s")
-				b.ReportMetric(res.HBMsgsPerPeerInterval, "hb_msgs_per_peer_interval")
-				b.ReportMetric(res.HBFanout, "hb_fanout")
-				b.ReportMetric(res.FsyncCoalescing(), "fsync_coalescing_x")
-			}
-		})
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"myraft/internal/plugin"
 	"myraft/internal/raft"
 	"myraft/internal/readpath"
-	"myraft/internal/storage"
 	"myraft/internal/trace"
 	"myraft/internal/transport"
 	"myraft/internal/wire"
@@ -74,10 +73,6 @@ type Options struct {
 	Registry *discovery.Registry
 	// Clock defaults to the real clock.
 	Clock clock.Clock
-	// ReadSampleCap bounds the per-level read latency histograms to this
-	// many retained samples (reservoir sampling) for open-ended read-heavy
-	// runs; 0 keeps every sample (exact percentiles).
-	ReadSampleCap int
 	// Seed, when non-zero, seeds the network jitter RNG (unless NetConfig
 	// already carries an explicit seed) so a whole replicaset run is
 	// reproducible from one number. The chaos harness derives everything —
@@ -105,14 +100,6 @@ type Options struct {
 	// cluster clock. The chaos harness uses it to give members individually
 	// skewed clocks (clock.Skewed) while the network keeps real time.
 	WrapClock func(id wire.NodeID, c clock.Clock) clock.Clock
-	// CommitPipelineDepth sets every MySQL member's primary commit
-	// pipeline depth (mysql.Options.CommitPipelineDepth): 0 keeps the
-	// mysql default, 1 forces the serial (non-overlapped) pipeline.
-	CommitPipelineDepth int
-	// Engine is the storage-engine option template applied to every MySQL
-	// member (Dir is filled per member). Experiments use it to model
-	// device latencies (storage.Options.SyncLatency, PrepareLatency).
-	Engine storage.Options
 	// TraceSampleEvery sets write-path trace sampling for every member: 0
 	// samples every transaction (the per-stage histograms are capped, so
 	// always-on tracing stays bounded), n > 1 samples every nth, and a
@@ -205,18 +192,14 @@ func New(opts Options, specs []MemberSpec) (*Cluster, error) {
 		opts.Clock = clock.Real()
 	}
 	c := &Cluster{
-		opts:     opts,
-		specs:    specs,
-		net:      opts.Net,
-		registry: opts.Registry,
-		clk:      opts.Clock,
-		ownsDir:  ownsDir,
-		members:  make(map[wire.NodeID]*Member),
-	}
-	if opts.ReadSampleCap > 0 {
-		c.readMetrics = readpath.NewMetricsCapped(opts.ReadSampleCap)
-	} else {
-		c.readMetrics = readpath.NewMetrics()
+		opts:        opts,
+		specs:       specs,
+		net:         opts.Net,
+		registry:    opts.Registry,
+		clk:         opts.Clock,
+		ownsDir:     ownsDir,
+		members:     make(map[wire.NodeID]*Member),
+		readMetrics: readpath.NewMetrics(),
 	}
 	if c.net == nil {
 		netCfg := opts.NetConfig
@@ -296,11 +279,9 @@ func (c *Cluster) startMember(m *Member) error {
 	switch m.Spec.Kind {
 	case KindMySQL:
 		srv, err := mysql.NewServer(mysql.Options{
-			ID:                  m.Spec.ID,
-			Dir:                 m.dir,
-			CommitPipelineDepth: c.opts.CommitPipelineDepth,
-			Engine:              c.opts.Engine,
-			Tracer:              m.tracer,
+			ID:     m.Spec.ID,
+			Dir:    m.dir,
+			Tracer: m.tracer,
 		})
 		if err != nil {
 			return err

@@ -148,36 +148,6 @@ func TestQuorumModesShape(t *testing.T) {
 	}
 }
 
-func TestReadPathLevelsShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long test")
-	}
-	if raceEnabled {
-		t.Skip("timing-sensitive shape test; race detector distorts latency")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	// Scale 1: the lease-vs-ReadIndex contrast IS the quorum round trip,
-	// so the WAN must run at real latency for the gap to show.
-	p := fastParams()
-	p.Scale = 1
-	res, err := ReadPathLevels(ctx, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("read path:\n%s", res)
-	m := res.Metrics
-	if m.Linearizable.Count() < res.Reads || m.Lease.Count() < res.Reads || m.Session.Count() < res.Reads {
-		t.Fatalf("missing observations: %d/%d/%d, want >= %d each",
-			m.Linearizable.Count(), m.Lease.Count(), m.Session.Count(), res.Reads)
-	}
-	// The lease read's whole point: no quorum round on the read path.
-	if m.Lease.Mean() >= m.Linearizable.Mean() {
-		t.Fatalf("lease reads (%v) not faster than ReadIndex (%v)",
-			m.Lease.Mean(), m.Linearizable.Mean())
-	}
-}
-
 func TestMockElectionAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long test")
@@ -225,34 +195,4 @@ func TestRolloutShape(t *testing.T) {
 	if paper := res.Params.unscaled(res.Window); paper > 30*time.Second {
 		t.Fatalf("window too large: %v paper units", paper)
 	}
-}
-
-func TestDurabilityPipelineShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long test")
-	}
-	if raceEnabled {
-		t.Skip("timing-sensitive shape test; race detector distorts latency")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	p := fastParams()
-	p.Duration = 500 * time.Millisecond
-	res, err := DurabilityPipeline(ctx, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Grouped.Latency.Count() == 0 || res.SyncEvery.Latency.Count() == 0 {
-		t.Fatal("empty results")
-	}
-	// With a 1ms modeled fsync, per-append syncing caps commits near
-	// 1000/s while grouped fsyncs amortize; the gap must be clear even
-	// under test-machine noise.
-	if sp := res.Speedup(); sp < 1.2 {
-		t.Fatalf("grouped speedup %.2fx; pipeline not amortizing fsyncs\n%s", sp, res)
-	}
-	if res.GroupedStats.Fsyncs == 0 || res.GroupedStats.FsyncBatch.Max < 2 {
-		t.Fatalf("grouped run shows no fsync batching: %+v", res.GroupedStats)
-	}
-	t.Logf("durability: %s", res)
 }

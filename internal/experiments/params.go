@@ -46,12 +46,6 @@ type Params struct {
 	Learners int
 	// Proxying enables the region-proxy replication topology.
 	Proxying bool
-	// FsyncLatency is the modeled per-fsync device latency injected into
-	// every member's log store (logstore.Delayed) for the durability
-	// pipeline experiment. Zero uses the experiment's default (1ms, a
-	// datacenter SSD); the repository's tmpfs-backed test dirs would
-	// otherwise make fsync nearly free and hide the pipeline's effect.
-	FsyncLatency time.Duration
 	// Dir is the state root; a temp dir is created when empty.
 	Dir string
 }

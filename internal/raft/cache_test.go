@@ -15,7 +15,7 @@ func cacheEntry(term, index uint64) *wire.LogEntry {
 
 // slotOf returns the cache slot holding index (tests inspect the stored
 // form through it).
-func slotOf(t *testing.T, c *entryCache, index uint64) *cachedEntry {
+func slotOf(t *testing.T, c *entryCache, index uint64) *wire.LogEntry {
 	t.Helper()
 	if !c.holds(index) {
 		t.Fatalf("index %d not cached", index)
@@ -24,7 +24,7 @@ func slotOf(t *testing.T, c *entryCache, index uint64) *cachedEntry {
 }
 
 func TestCacheAddAndGet(t *testing.T) {
-	c := newEntryCache(10, true)
+	c := newEntryCache(10)
 	for i := uint64(1); i <= 5; i++ {
 		c.add(cacheEntry(1, i))
 	}
@@ -43,7 +43,7 @@ func TestCacheAddAndGet(t *testing.T) {
 }
 
 func TestCacheEvictsOldest(t *testing.T) {
-	c := newEntryCache(3, true)
+	c := newEntryCache(3)
 	for i := uint64(1); i <= 5; i++ {
 		c.add(cacheEntry(1, i))
 	}
@@ -61,7 +61,7 @@ func TestCacheEvictsOldest(t *testing.T) {
 }
 
 func TestCacheNonContiguousResets(t *testing.T) {
-	c := newEntryCache(10, true)
+	c := newEntryCache(10)
 	c.add(cacheEntry(1, 1))
 	c.add(cacheEntry(1, 2))
 	c.add(cacheEntry(2, 10)) // gap: reset
@@ -73,14 +73,14 @@ func TestCacheNonContiguousResets(t *testing.T) {
 	}
 	// The reset cleared the old slots: no stale payload stays reachable.
 	for i := range c.slots {
-		if s := &c.slots[i]; s.e.OpID.Index != 0 && s.e.OpID.Index != 10 {
-			t.Fatalf("slot %d still holds index %d", i, s.e.OpID.Index)
+		if s := &c.slots[i]; s.OpID.Index != 0 && s.OpID.Index != 10 {
+			t.Fatalf("slot %d still holds index %d", i, s.OpID.Index)
 		}
 	}
 }
 
 func TestCacheTruncateAfter(t *testing.T) {
-	c := newEntryCache(10, true)
+	c := newEntryCache(10)
 	for i := uint64(1); i <= 8; i++ {
 		c.add(cacheEntry(1, i))
 	}
@@ -107,7 +107,7 @@ func TestCacheTruncateAfter(t *testing.T) {
 }
 
 func TestCacheTermAt(t *testing.T) {
-	c := newEntryCache(10, true)
+	c := newEntryCache(10)
 	c.add(cacheEntry(7, 1))
 	if term, ok := c.termAt(1); !ok || term != 7 {
 		t.Fatalf("termAt = %d %v", term, ok)
@@ -122,7 +122,7 @@ func TestCacheTermAt(t *testing.T) {
 // cleared.
 func TestCacheWindowInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := newEntryCache(8, true)
+		c := newEntryCache(8)
 		next := uint64(1)
 		for _, op := range ops {
 			switch op % 4 {
@@ -144,10 +144,10 @@ func TestCacheWindowInvariant(t *testing.T) {
 			bytes, held := 0, 0
 			for i := range c.slots {
 				s := &c.slots[i]
-				if c.holds(s.e.OpID.Index) && c.slot(s.e.OpID.Index) == s {
-					bytes += len(s.e.Payload)
+				if c.holds(s.OpID.Index) && c.slot(s.OpID.Index) == s {
+					bytes += len(s.Payload)
 					held++
-				} else if s.e.OpID != opid.Zero || s.e.Payload != nil {
+				} else if s.OpID != opid.Zero || s.Payload != nil {
 					return false // a slot outside the window was not cleared
 				}
 			}
@@ -165,7 +165,7 @@ func TestCacheWindowInvariant(t *testing.T) {
 // TestCacheRingWrapsAround: far more entries than the ring holds keep
 // landing in index mod capacity, and the ring grows lazily to the cap.
 func TestCacheRingWrapsAround(t *testing.T) {
-	c := newEntryCache(100, false)
+	c := newEntryCache(100)
 	c.add(cacheEntry(1, 1))
 	if len(c.slots) != 64 {
 		t.Fatalf("first add sized the ring to %d slots, want 64", len(c.slots))
@@ -190,7 +190,7 @@ func TestCacheRingWrapsAround(t *testing.T) {
 // TestCacheDropBelowAndResetClearSlots: evictions clear the slots they
 // free, so the ring never pins a payload it no longer serves.
 func TestCacheDropBelowAndResetClearSlots(t *testing.T) {
-	c := newEntryCache(16, false)
+	c := newEntryCache(16)
 	for i := uint64(1); i <= 10; i++ {
 		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: i}, Payload: make([]byte, 10)})
 	}
@@ -199,7 +199,7 @@ func TestCacheDropBelowAndResetClearSlots(t *testing.T) {
 		t.Fatalf("after dropBelow(7): first %d n %d bytes %d", c.first, c.n, c.bytes)
 	}
 	for i := uint64(1); i < 7; i++ {
-		if s := c.slot(i); s.e.Payload != nil {
+		if s := c.slot(i); s.Payload != nil {
 			t.Fatalf("slot of dropped index %d still holds a payload", i)
 		}
 	}
@@ -208,7 +208,7 @@ func TestCacheDropBelowAndResetClearSlots(t *testing.T) {
 		t.Fatalf("after reset: n %d bytes %d", c.n, c.bytes)
 	}
 	for i := range c.slots {
-		if c.slots[i].e.Payload != nil {
+		if c.slots[i].Payload != nil {
 			t.Fatalf("slot %d still holds a payload after reset", i)
 		}
 	}
@@ -217,7 +217,7 @@ func TestCacheDropBelowAndResetClearSlots(t *testing.T) {
 // TestCacheByteBoundEvicts: payload bytes, not just the entry count,
 // bound the cache.
 func TestCacheByteBoundEvicts(t *testing.T) {
-	c := newEntryCache(1000, false)
+	c := newEntryCache(1000)
 	chunk := cacheBytes / 4
 	for i := uint64(1); i <= 6; i++ {
 		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: i}, Payload: make([]byte, chunk)})
@@ -240,7 +240,7 @@ func TestCacheByteBoundEvicts(t *testing.T) {
 // TestCacheSharesPayloads: the cache keeps and returns the appended
 // payload itself (the immutable-payload rule), not a copy.
 func TestCacheSharesPayloads(t *testing.T) {
-	c := newEntryCache(10, false)
+	c := newEntryCache(10)
 	payload := []byte("shared")
 	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
 	got, _ := c.get(1)
@@ -249,10 +249,10 @@ func TestCacheSharesPayloads(t *testing.T) {
 	}
 }
 
-// TestCacheAddAndGetAllocateNothing pins the uncompressed hot path:
+// TestCacheAddAndGetAllocateNothing pins the hot path:
 // add copies a header into a slot, get returns a value.
 func TestCacheAddAndGetAllocateNothing(t *testing.T) {
-	c := newEntryCache(64, false)
+	c := newEntryCache(64)
 	payload := make([]byte, 600)
 	next := uint64(1)
 	for ; next <= 64; next++ { // grow the ring to its cap first
@@ -275,86 +275,12 @@ func TestCacheAddAndGetAllocateNothing(t *testing.T) {
 	_ = sink
 }
 
-func TestCacheCompressesLargePayloads(t *testing.T) {
-	c := newEntryCache(10, true)
-	// Highly compressible 4KB payload.
-	payload := bytes.Repeat([]byte("abcdefgh"), 512)
-	e := &wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload}
-	c.add(e)
-	ce := slotOf(t, c, 1)
-	if !ce.compressed {
-		t.Fatal("compressible payload stored uncompressed")
-	}
-	if len(ce.e.Payload) >= len(payload) {
-		t.Fatalf("no space saved: %d vs %d", len(ce.e.Payload), len(payload))
-	}
-	got, ok := c.get(1)
-	if !ok || !bytes.Equal(got.Payload, payload) {
-		t.Fatal("round trip through compression failed")
-	}
-	// The caller's view must not alias the cache.
-	got.Payload[0] = 'X'
-	again, _ := c.get(1)
-	if again.Payload[0] == 'X' {
-		t.Fatal("decompressed payload aliased between reads")
-	}
-}
-
-func TestCacheSkipsIncompressiblePayloads(t *testing.T) {
-	c := newEntryCache(10, true)
-	// Random bytes do not compress.
-	payload := make([]byte, 1024)
-	rnd := uint32(12345)
-	for i := range payload {
-		rnd = rnd*1664525 + 1013904223
-		payload[i] = byte(rnd >> 24)
-	}
-	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
-	if slotOf(t, c, 1).compressed {
-		t.Fatal("incompressible payload stored compressed")
-	}
-	got, ok := c.get(1)
-	if !ok || !bytes.Equal(got.Payload, payload) {
-		t.Fatal("round trip failed")
-	}
-}
-
-func TestCacheSmallPayloadsUncompressed(t *testing.T) {
-	c := newEntryCache(10, true)
-	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: []byte("tiny")})
-	if slotOf(t, c, 1).compressed {
-		t.Fatal("tiny payload compressed")
-	}
-	got, _ := c.get(1)
-	if string(got.Payload) != "tiny" {
-		t.Fatal("round trip failed")
-	}
-}
-
-func TestCacheCompressionRoundTripProperty(t *testing.T) {
-	f := func(payload []byte) bool {
-		c := newEntryCache(4, true)
-		c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
-		got, ok := c.get(1)
-		if !ok {
-			return false
-		}
-		if len(payload) == 0 {
-			return len(got.Payload) == 0
-		}
-		return bytes.Equal(got.Payload, payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCacheUncompressedMode(t *testing.T) {
-	c := newEntryCache(10, false)
+	c := newEntryCache(10)
 	payload := bytes.Repeat([]byte("abcdefgh"), 512)
 	c.add(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: 1}, Payload: payload})
-	if slotOf(t, c, 1).compressed {
-		t.Fatal("compression ran with compress=false")
+	if s := slotOf(t, c, 1); !bytes.Equal(s.Payload, payload) {
+		t.Fatal("payload not stored as appended")
 	}
 	got, ok := c.get(1)
 	if !ok || !bytes.Equal(got.Payload, payload) {

@@ -101,7 +101,6 @@ type queuedAppend struct {
 // only consumer goroutine.
 type logWriter struct {
 	log         LogStore
-	syncEvery   bool  // ablation: fsync per append instead of per batch
 	maxUnsynced int64 // backpressure bound; <= 0 disables
 	met         *durMetrics
 
@@ -126,7 +125,6 @@ type logWriter struct {
 func newLogWriter(log LogStore, cfg Config, met *durMetrics) *logWriter {
 	w := &logWriter{
 		log:         log,
-		syncEvery:   cfg.SyncEveryAppend,
 		maxUnsynced: cfg.MaxUnsyncedBytes,
 		met:         met,
 		notify:      make(chan struct{}, 1),
@@ -272,11 +270,7 @@ func (w *logWriter) run() {
 		w.busy = true
 		w.mu.Unlock()
 
-		if w.syncEvery {
-			w.processSyncEvery(batch)
-		} else {
-			w.processGrouped(batch)
-		}
+		w.process(batch)
 
 		w.mu.Lock()
 		w.busy = false
@@ -285,8 +279,8 @@ func (w *logWriter) run() {
 	}
 }
 
-// processGrouped appends the batch and covers it with one fsync.
-func (w *logWriter) processGrouped(batch []queuedAppend) {
+// process appends the batch and covers it with one fsync.
+func (w *logWriter) process(batch []queuedAppend) {
 	var err error
 	n := 0
 	for _, q := range batch {
@@ -304,22 +298,6 @@ func (w *logWriter) processGrouped(batch []queuedAppend) {
 		return
 	}
 	w.complete(batch, batch[n-1].e.OpID.Index)
-}
-
-// processSyncEvery is the SyncEveryAppend ablation: one fsync per entry.
-func (w *logWriter) processSyncEvery(batch []queuedAppend) {
-	for i, q := range batch {
-		err := w.log.Append(q.e)
-		if err == nil {
-			q.span.Observe(trace.StageAppend, time.Since(q.enqueued))
-			err = w.log.Sync()
-		}
-		if err != nil {
-			w.fail(batch[i:], err)
-			return
-		}
-		w.complete(batch[i:i+1], q.e.OpID.Index)
-	}
 }
 
 // complete publishes a successful durability point covering batch, whose

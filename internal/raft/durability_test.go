@@ -126,33 +126,6 @@ func TestLogWriterCoalescesFsyncs(t *testing.T) {
 	}
 }
 
-// TestLogWriterSyncEveryAppend verifies the ablation knob: one fsync per
-// entry, no grouping.
-func TestLogWriterSyncEveryAppend(t *testing.T) {
-	log := newGatedLog()
-	log.open()
-	lw := newLogWriter(log, Config{SyncEveryAppend: true}, newDurMetrics())
-	lw.init(0)
-	go lw.run()
-	defer lw.stop()
-
-	for i := uint64(1); i <= 5; i++ {
-		if err := lw.enqueue(&wire.LogEntry{OpID: opid.OpID{Term: 1, Index: i}}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.drainAppends(); err != nil {
-		t.Fatal(err)
-	}
-	if got := log.syncs.Load(); got != 5 {
-		t.Fatalf("syncs = %d, want 5", got)
-	}
-	st := lw.stats()
-	if st.Fsyncs != 5 || st.FsyncBatch.Max != 1 {
-		t.Fatalf("stats = %+v, want 5 single-entry fsyncs", st)
-	}
-}
-
 // TestLogWriterBackpressure verifies MaxUnsyncedBytes: once the bound is
 // hit, enqueue blocks until a sync completes, and the stall is recorded
 // as loop-blocked time.

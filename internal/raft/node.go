@@ -185,7 +185,7 @@ func NewNode(cfg Config, log LogStore, cb Callbacks, tr Transport, clk clock.Clo
 		tr:       tr,
 		log:      log,
 		cb:       cb,
-		cache:    newEntryCache(cfg.CacheCapacity, cfg.CompressCache),
+		cache:    newEntryCache(cacheCapacity),
 		store:    store,
 		rng:      rand.New(rand.NewSource(int64(len(cfg.ID)) + int64(hashID(cfg.ID)))),
 		role:     RoleFollower,
@@ -479,8 +479,7 @@ func (n *Node) entryAt(index uint64) (wire.LogEntry, bool) {
 
 // metaAt returns the header-only form of the entry at index (Payload
 // nil). The proxy send path uses it: PROXY_OPs carry no payload on the
-// wire, so fetching metadata skips cache decompression and payload
-// copies entirely.
+// wire, so fetching metadata skips payload copies entirely.
 func (n *Node) metaAt(index uint64) (wire.LogEntry, bool) {
 	if meta, ok := n.cache.meta(index); ok {
 		return meta, true

@@ -250,22 +250,6 @@ type Config struct {
 	// the paper discusses, default off (0) to match the paper.
 	AutoStepDownAfter time.Duration
 
-	// BatchSize caps entries per AppendEntries message. Default 64.
-	BatchSize int
-	// CacheCapacity bounds the in-memory log entry cache. Default 16384.
-	CacheCapacity int
-	// CompressCache stores cached payloads flate-compressed (§3.4: "Raft
-	// compresses the transaction and stores it in its in-memory cache").
-	// Off by default here: on this reproduction's substrate the
-	// compression CPU sits on the node's event loop and measurably taxes
-	// the commit path, whereas production MyRaft absorbs it.
-	CompressCache bool
-
-	// SyncEveryAppend makes the log writer fsync after every single
-	// append instead of once per drained batch. This is the naive
-	// durability fix — correct, but serialized behind the storage device —
-	// kept as the ablation arm of BenchmarkDurabilityPipeline.
-	SyncEveryAppend bool
 	// MaxUnsyncedBytes bounds the bytes handed to the log writer but not
 	// yet covered by a group fsync; past the bound, new appends block the
 	// event loop until the writer catches up (backpressure, surfaced as
@@ -362,12 +346,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MockLagAllowance == 0 {
 		c.MockLagAllowance = 1024
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 64
-	}
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 16384
 	}
 	if c.MaxUnsyncedBytes == 0 {
 		c.MaxUnsyncedBytes = 8 << 20

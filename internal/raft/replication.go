@@ -142,14 +142,16 @@ func (n *Node) planAppend(peer wire.NodeID, ps *peerState) (appendPlan, bool) {
 	return p, true
 }
 
+// maxAppendBatch caps the entries in one AppendEntries message.
+const maxAppendBatch = 64
+
 // buildBatch fills the peer's scratch buffer with the entries after
 // p.prev (the transport marshals synchronously, so the buffer is free
 // again once Send returns). On proxied routes the wire format strips
-// payloads anyway, so fetch header metadata only — no cache
-// decompression, no payload copies.
+// payloads anyway, so fetch header metadata only — no payload copies.
 func (n *Node) buildBatch(ps *peerState, p appendPlan) []wire.LogEntry {
 	entries := ps.scratch[:0]
-	for idx := p.prev.Index + 1; idx <= n.lastOpID.Index && len(entries) < n.cfg.BatchSize; idx++ {
+	for idx := p.prev.Index + 1; idx <= n.lastOpID.Index && len(entries) < maxAppendBatch; idx++ {
 		if p.route != nil {
 			meta, ok := n.metaAt(idx)
 			if !ok {

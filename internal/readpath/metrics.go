@@ -24,22 +24,19 @@ type Metrics struct {
 	StaleRejections metrics.Counter
 }
 
-// NewMetrics returns a sink with unbounded (exact-percentile) histograms.
+// histogramCap bounds each level's latency reservoir: a member observes
+// every read it serves for the life of the process, so memory must stay
+// flat however long it runs (as metrics.registryHistogramCap does for
+// the tracer's histograms).
+const histogramCap = 4096
+
+// NewMetrics returns a sink whose histograms each retain at most
+// histogramCap samples (reservoir sampling) while counting every read.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		Linearizable: metrics.NewHistogram(),
-		Lease:        metrics.NewHistogram(),
-		Session:      metrics.NewHistogram(),
-	}
-}
-
-// NewMetricsCapped returns a sink whose histograms hold at most capacity
-// samples each (reservoir sampling), for open-ended read-heavy runs.
-func NewMetricsCapped(capacity int) *Metrics {
-	return &Metrics{
-		Linearizable: metrics.NewHistogramCapped(capacity),
-		Lease:        metrics.NewHistogramCapped(capacity),
-		Session:      metrics.NewHistogramCapped(capacity),
+		Linearizable: metrics.NewHistogramCapped(histogramCap),
+		Lease:        metrics.NewHistogramCapped(histogramCap),
+		Session:      metrics.NewHistogramCapped(histogramCap),
 	}
 }
 

@@ -218,18 +218,21 @@ func TestTokenStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMetricsCapped: a member's read histograms stay bounded however
+// many reads it serves, while still counting every one.
 func TestMetricsCapped(t *testing.T) {
-	m := NewMetricsCapped(100)
-	for i := 0; i < 10_000; i++ {
-		m.Session.Observe(time.Duration(i) * time.Microsecond)
+	m := NewMetrics()
+	const limit, n = 4096, 4096 + 1000
+	for i := 0; i < n; i++ {
+		m.Lease.Observe(time.Duration(i) * time.Microsecond)
 	}
-	if m.Session.Count() != 10_000 {
-		t.Fatalf("Count = %d, want all observations", m.Session.Count())
+	if m.Lease.Count() != n {
+		t.Fatalf("Count = %d, want all %d observations", m.Lease.Count(), n)
 	}
-	if m.Session.Retained() != 100 {
-		t.Fatalf("Retained = %d, want the cap", m.Session.Retained())
+	if r := m.Lease.Retained(); r > limit {
+		t.Fatalf("Retained = %d, want at most %d", r, limit)
 	}
-	if p := m.Session.Percentile(50); p <= 0 {
+	if p := m.Lease.Percentile(50); p <= 0 {
 		t.Fatalf("capped percentile = %v", p)
 	}
 }

@@ -55,13 +55,6 @@ type Options struct {
 	// an I/O-bound replica on hosts whose core count cannot show CPU
 	// overlap.
 	PrepareLatency time.Duration
-	// SyncLatency simulates the device fsync a real engine pays when Sync
-	// flushes the WAL: each real fsync (not the dirty-tracking no-ops)
-	// additionally sleeps this long. Zero (the default) disables it; the
-	// group-commit pipeline benchmark uses it to model the engine sharing
-	// a slow log device, which is what commit-group sync coalescing
-	// amortizes.
-	SyncLatency time.Duration
 }
 
 // Engine is a transactional key-value storage engine.
@@ -92,7 +85,6 @@ type Engine struct {
 
 	lockWait time.Duration
 	prepLat  time.Duration // simulated staging I/O (Options.PrepareLatency)
-	syncLat  time.Duration // simulated device fsync (Options.SyncLatency)
 }
 
 // walBufSize is the engine WAL's user-space buffer.
@@ -119,7 +111,6 @@ func Open(opts Options) (*Engine, error) {
 		walPath:  filepath.Join(opts.Dir, "engine.wal"),
 		lockWait: opts.LockWaitTimeout,
 		prepLat:  opts.PrepareLatency,
-		syncLat:  opts.SyncLatency,
 		nextTxn:  1,
 	}
 	if e.lockWait == 0 {
@@ -695,11 +686,6 @@ func (e *Engine) Sync() error {
 	}
 	if err := e.wal.Sync(); err != nil {
 		return err
-	}
-	if e.syncLat > 0 {
-		// Modeled device latency: held under the engine mutex because a
-		// real fsync stalls the WAL it is flushing.
-		time.Sleep(e.syncLat)
 	}
 	e.dirty = false
 	e.statSyncs++

@@ -510,30 +510,3 @@ func TestSyncDirtyTrackingCoalesces(t *testing.T) {
 		t.Fatalf("sync after FlushWAL performed %d fsyncs, want 2", s)
 	}
 }
-
-func TestSyncLatencyModelsDeviceFsync(t *testing.T) {
-	dir := t.TempDir()
-	e, err := Open(Options{Dir: dir, SyncLatency: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-
-	// No-op syncs skip the modeled device entirely.
-	start := time.Now()
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 15*time.Millisecond {
-		t.Fatalf("clean sync paid the modeled latency: %v", d)
-	}
-
-	mustCommit(t, e, opid.OpID{Term: 1, Index: 1}, map[string]string{"a": "1"})
-	start = time.Now()
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 20*time.Millisecond {
-		t.Fatalf("real sync skipped the modeled latency: %v", d)
-	}
-}

@@ -32,7 +32,6 @@ multiraft	y	multi-shard runtime slice (incl. online shard split)
 parallelapply	y	writeset-scheduled replica applier slice
 obs	y	write-path tracing + metrics export slice
 pipeline	y	pipelined group-commit slice
-bench	y	durability pipeline bench smoke
 fuzz	n	30 s per fuzz target over the disk, payload and wire decoders
 repobench	y	bench/ module vet + tests and a 1 s-per-run smoke of the repo benchmark
 chaos	n	fixed-seed chaos table (paper ring, 4 shards, split under load)"
@@ -46,7 +45,7 @@ chaos	n	fixed-seed chaos table (paper ring, 4 shards, split under load)"
 # (-p 1 for race rows: timing-sensitive integration tests get the machine
 # to themselves — concurrent race-instrumented packages slow the
 # schedulers enough to trip failover timeouts. One bench iteration keeps
-# CI fast while still exercising each ablation end to end.)
+# CI fast while still running each slice's package benchmark end to end.)
 stage_spec() {
 	case "$1" in
 	tests)
@@ -64,21 +63,18 @@ stage_spec() {
 		# checker, and the repro command a failing seed prints.
 		echo "./internal/chaos=TestChaosSmoke|TestSchedule|TestIsolationCheck|TestReproCommand"
 		;;
-	bench)
-		echo "bench:.=BenchmarkDurabilityPipeline"
-		;;
 	multiraft)
 		# The multi-shard slice across its layers: shard-envelope framing
 		# and demux coalescing, router/sync-group/runtime units, the split
 		# protocol, the 3x16 acceptance scenario with the leader balancer,
 		# and the shard-scoped admin server. (The multi-shard and split
-		# chaos runs are rows of the chaos stage's table.)
+		# chaos runs are rows of the chaos stage's table; the repo
+		# benchmark's sharded_mixed workload measures the runtime.)
 		cat <<-EOF
 		./internal/wire=Shard|Coalesced
 		./internal/transport=Demux
 		./internal/multiraft
 		./internal/adminapi=TestMulti|TestSplit|TestShardScoped|TestRuntimeRollup
-		bench:.=BenchmarkMultiRaftShards
 		EOF
 		;;
 	parallelapply)
@@ -108,7 +104,6 @@ stage_spec() {
 		./internal/cluster=TestWritePathTraces|TestMemberRegistries|TestRegistriesSurvive|TestTraceSampling
 		./internal/raft=TestLogWriterObservesSpanStages|TestProposeObservesReplicateStage
 		./internal/binlog=TestStatsCounts
-		./scripts
 		EOF
 		;;
 	pipeline)
@@ -122,8 +117,9 @@ stage_spec() {
 		# drop-counter transport satellites, the replication copy path
 		# (sized wire encoder against its reference, in-place decoding,
 		# one-buffer TCP frames, payloads surviving scratch reuse, one
-		# encode per broadcast), and the depth 1-vs-4 A/B bench. (Every
-		# chaos run commits through the depth-4 pipeline.)
+		# encode per broadcast). (Every chaos run commits through the
+		# depth-4 pipeline; the repo benchmark's mysql.pipeline_* metrics
+		# measure it.)
 		cat <<-EOF
 		./internal/raft=ProposeBatch|AdvanceLeaderCommit|WaitDurable|Cache|ReadRound|Broadcast
 		./internal/wire
@@ -133,7 +129,6 @@ stage_spec() {
 		./internal/storage=Sync|Encode
 		./internal/binlog=Encode
 		./internal/transport=TCPDrop|TCPLoopback|Frame
-		bench:.=BenchmarkGroupCommitPipeline
 		EOF
 		;;
 	fuzz)
