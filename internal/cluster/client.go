@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"myraft/internal/clock"
 	"myraft/internal/opid"
 	"myraft/internal/readpath"
 	"myraft/internal/wire"
@@ -54,13 +55,9 @@ func (cl *Client) Write(ctx context.Context, key string, value []byte) (WriteRes
 	for {
 		srv, _, ok := cl.c.primaryServer()
 		if ok {
-			if cl.RTT > 0 {
-				time.Sleep(cl.RTT / 2)
-			}
+			clock.Sleep(cl.RTT / 2)
 			op, err := srv.Set(ctx, key, value)
-			if cl.RTT > 0 {
-				time.Sleep(cl.RTT / 2)
-			}
+			clock.Sleep(cl.RTT / 2)
 			if err == nil {
 				cl.observeWrite(op)
 				return WriteResult{OpID: op, Latency: time.Since(start), Retries: retries}, nil
@@ -86,13 +83,9 @@ func (cl *Client) TryWrite(ctx context.Context, key string, value []byte) (Write
 	if !ok {
 		return WriteResult{}, errors.New("cluster: no primary published")
 	}
-	if cl.RTT > 0 {
-		time.Sleep(cl.RTT / 2)
-	}
+	clock.Sleep(cl.RTT / 2)
 	op, err := srv.Set(ctx, key, value)
-	if cl.RTT > 0 {
-		time.Sleep(cl.RTT / 2)
-	}
+	clock.Sleep(cl.RTT / 2)
 	if err != nil {
 		return WriteResult{}, err
 	}
@@ -162,12 +155,8 @@ func (cl *Client) ReadSession(ctx context.Context, id wire.NodeID, key string) (
 
 // timedRead wraps a read with the simulated client RTT.
 func (cl *Client) timedRead(fn func() (readpath.Result, error)) (readpath.Result, error) {
-	if cl.RTT > 0 {
-		time.Sleep(cl.RTT / 2)
-	}
+	clock.Sleep(cl.RTT / 2)
 	res, err := fn()
-	if cl.RTT > 0 {
-		time.Sleep(cl.RTT / 2)
-	}
+	clock.Sleep(cl.RTT / 2)
 	return res, err
 }

@@ -3,6 +3,7 @@ package logstore
 import (
 	"time"
 
+	"myraft/internal/clock"
 	"myraft/internal/opid"
 	"myraft/internal/wire"
 )
@@ -53,26 +54,22 @@ func ScanFrom(inner Store, from uint64, fn func(*wire.LogEntry) bool) error {
 	return nil
 }
 
-// Delayed wraps a Store and injects fixed latency into Append and Sync,
-// modeling a real storage device: the repository's tests and benchmarks
-// run on fast local filesystems (often tmpfs) where fsync is nearly
-// free, which hides exactly the stalls the async durability pipeline
-// exists to remove. A SyncDelay of ~1ms approximates a datacenter SSD;
-// ~5ms approximates the battery-backed arrays the paper's MySQL fleet
-// uses.
+// Delayed wraps a Store and adds a fixed latency to every Sync, modeling
+// a real storage device: the repository's tests and benchmarks run on
+// fast local filesystems (often tmpfs) where fsync is nearly free, which
+// hides exactly the stalls the async durability pipeline exists to
+// remove. The wait is clock.Sleep, so a sync lasts SyncDelay plus tens
+// of microseconds, not the whole millisecond the runtime's timer rounds
+// a short wait up to while the process is idle. A SyncDelay of ~1ms
+// approximates a datacenter SSD; ~5ms approximates the battery-backed
+// arrays the paper's MySQL fleet uses.
 type Delayed struct {
-	Inner       Store
-	AppendDelay time.Duration // added before each Append
-	SyncDelay   time.Duration // added before each Sync
+	Inner     Store
+	SyncDelay time.Duration // added before each Sync
 }
 
 // Append implements raft.LogStore.
-func (d Delayed) Append(e *wire.LogEntry) error {
-	if d.AppendDelay > 0 {
-		time.Sleep(d.AppendDelay)
-	}
-	return d.Inner.Append(e)
-}
+func (d Delayed) Append(e *wire.LogEntry) error { return d.Inner.Append(e) }
 
 // Entry implements raft.LogStore.
 func (d Delayed) Entry(index uint64) (*wire.LogEntry, error) { return d.Inner.Entry(index) }
@@ -90,9 +87,7 @@ func (d Delayed) TruncateAfter(index uint64) ([]*wire.LogEntry, error) {
 
 // Sync implements raft.LogStore, sleeping SyncDelay before delegating.
 func (d Delayed) Sync() error {
-	if d.SyncDelay > 0 {
-		time.Sleep(d.SyncDelay)
-	}
+	clock.Sleep(d.SyncDelay)
 	return d.Inner.Sync()
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"time"
 
+	"myraft/internal/clock"
 	"myraft/internal/opid"
 )
 
@@ -42,13 +43,9 @@ func (cl *Client) Write(ctx context.Context, key string, value []byte) (opid.OpI
 	start := time.Now()
 	for {
 		if n, ok := cl.resolve(); ok {
-			if cl.RTT > 0 {
-				time.Sleep(cl.RTT / 2)
-			}
+			clock.Sleep(cl.RTT / 2)
 			op, err := n.server.Set(ctx, key, value)
-			if cl.RTT > 0 {
-				time.Sleep(cl.RTT / 2)
-			}
+			clock.Sleep(cl.RTT / 2)
 			if err == nil {
 				return op, time.Since(start), nil
 			}
@@ -71,13 +68,9 @@ func (cl *Client) TryWrite(ctx context.Context, key string, value []byte) (time.
 		return 0, errors.New("semisync: no primary published")
 	}
 	start := time.Now()
-	if cl.RTT > 0 {
-		time.Sleep(cl.RTT / 2)
-	}
+	clock.Sleep(cl.RTT / 2)
 	_, err := n.server.Set(ctx, key, value)
-	if cl.RTT > 0 {
-		time.Sleep(cl.RTT / 2)
-	}
+	clock.Sleep(cl.RTT / 2)
 	if err != nil {
 		return 0, err
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"myraft/internal/clock"
 	"myraft/internal/opid"
 )
 
@@ -48,7 +49,8 @@ type Options struct {
 	LockWaitTimeout time.Duration
 	// PrepareLatency simulates the storage I/O a real engine performs
 	// while staging a transaction for commit (page reads, doublewrite):
-	// Prepare sleeps this long before its WAL append, outside the engine
+	// Prepare waits this long (clock.Sleep, which ends within tens of
+	// microseconds of it) before its WAL append, outside the engine
 	// mutex but with the transaction's row locks held — exactly the
 	// blocking profile the parallel applier's worker pool exists to
 	// overlap. Zero (the default) disables it; benchmarks use it to model
@@ -587,11 +589,9 @@ func (t *Txn) Prepare() error {
 	// owned by this goroutine, so its buffered writes are stable; the
 	// state checks still happen under the lock.
 	rec := encodeWALRecord(&walRecord{typ: walPrepare, txnID: t.id, changes: t.Changes()})
-	if e.prepLat > 0 {
-		// Simulated staging I/O: blocks this transaction (row locks held)
-		// without serializing concurrent preparers. See Options.
-		time.Sleep(e.prepLat)
-	}
+	// Simulated staging I/O: blocks this transaction (row locks held)
+	// without serializing concurrent preparers. See Options.
+	clock.Sleep(e.prepLat)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if t.done {

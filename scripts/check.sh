@@ -15,8 +15,9 @@ cd "$(dirname "$0")/.."
 # and logstore joined with the bounded-log lifecycle (checkpoint encode
 # under a live applier, purge/snapshot-reset against concurrent appends);
 # multiraft runs many rings over one shared demux/fsync-group per node —
-# the heaviest cross-goroutine surface in the repo.
-RACE_PKGS="./internal/raft ./internal/readpath ./internal/cluster ./internal/mysql ./internal/binlog ./internal/transport ./internal/storage ./internal/logstore ./internal/multiraft"
+# the heaviest cross-goroutine surface in the repo; clock's precise
+# sleep hands timerfds between goroutines through a shared free list.
+RACE_PKGS="./internal/clock ./internal/raft ./internal/readpath ./internal/cluster ./internal/mysql ./internal/binlog ./internal/transport ./internal/storage ./internal/logstore ./internal/multiraft"
 
 # STAGES is the stage table: "name<TAB>in-all<TAB>description", one row
 # per stage. Usage and the `all` order derive from it, and every stage's
@@ -24,7 +25,7 @@ RACE_PKGS="./internal/raft ./internal/readpath ./internal/cluster ./internal/mys
 # plus one spec case, with no per-stage function to copy-paste. chaos is
 # not in `all` because the tests stage already runs the full campaign.
 STAGES="lint	y	gofmt and go vet
-build	y	go build ./...
+build	y	go build ./..., and for darwin/arm64 and windows (the non-Linux sleep fallback)
 tests	y	go test ./... (includes the full 20-seed chaos campaign)
 race	y	race detector over the concurrency-heavy packages
 compaction	y	bounded-log lifecycle slice
@@ -179,6 +180,11 @@ stage_lint() {
 stage_build() {
 	echo "== go build ./..."
 	go build ./...
+	# clock's precise sleep is Linux-only; these keep its fallback compiling.
+	echo "== GOOS=darwin GOARCH=arm64 go build ./..."
+	GOOS=darwin GOARCH=arm64 go build ./...
+	echo "== GOOS=windows go build ./..."
+	GOOS=windows go build ./...
 }
 
 # bench/ is its own module (replace myraft => ../), so the root
