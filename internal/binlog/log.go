@@ -159,6 +159,10 @@ var ErrOutOfOrder = errors.New("binlog: append out of order")
 // index file and the log files. A torn final entry (crash mid-write) is
 // truncated away, implementing case 1 of the paper's recovery discussion
 // (§A.2): a transaction that never fully reached the log is simply gone.
+// Any other damaged record, one in a file that is not the active one or
+// one followed by a decodable entry, is corruption of entries that may
+// have been synced and acked: Open returns an *ErrCorrupt naming its file
+// and offset and changes nothing on disk.
 func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("binlog: %w", err)
@@ -176,8 +180,11 @@ func Open(opts Options) (*Log, error) {
 		return nil, err
 	}
 	skipped := false
+	// torn is the damaged last record of the newest file recovered so far:
+	// a torn write if that file is the active one, corruption otherwise.
+	var torn *ErrCorrupt
 	for _, name := range names {
-		err := l.recoverFile(name)
+		damaged, err := l.recoverFile(name)
 		if errors.Is(err, os.ErrNotExist) {
 			// A crash between a purge's file unlink and its index rewrite
 			// leaves the index listing files that are gone. The entries in
@@ -189,6 +196,11 @@ func Open(opts Options) (*Log, error) {
 		if err != nil {
 			return nil, err
 		}
+		if torn != nil {
+			torn.Reason += " in a file that is not the active one"
+			return nil, torn
+		}
+		torn = damaged
 	}
 	if l.lastOpID.Index < l.anchor.Index {
 		// Freshly reset log with no appends yet: the tail is the anchor.
@@ -262,39 +274,41 @@ func (l *Log) writeIndexFileLocked() error {
 }
 
 // recoverFile scans one file, rebuilding offsets, GTIDs and the tail
-// position. The scan stops at the first torn or corrupt record; everything
-// after that point is discarded.
-func (l *Log) recoverFile(name string) error {
+// position. The scan stops at the first record that does not decode. If a
+// decodable entry follows it, that is corruption and the error; otherwise
+// the record is returned as damaged, a torn tail only if the file turns
+// out to be the active one (Open decides).
+func (l *Log) recoverFile(name string) (damaged *ErrCorrupt, err error) {
 	path := filepath.Join(l.dir, name)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("binlog: recover %s: %w", name, err)
+		return nil, fmt.Errorf("binlog: recover %s: %w", name, err)
 	}
 	lf := &logFile{name: name}
 	if seq, ok := fileSeq(name); ok && seq >= l.seq {
 		l.seq = seq + 1
 	}
 	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic) {
-		return &ErrCorrupt{File: name, Offset: 0, Reason: "bad magic"}
+		return nil, &ErrCorrupt{File: name, Offset: 0, Reason: "bad magic"}
 	}
 	pos := int64(len(magic))
 	// Header events: format description, previous GTIDs.
 	for i := 0; i < 2; i++ {
 		ev, n, err := decodeEvent(data[pos:])
 		if err != nil || ev == nil {
-			return &ErrCorrupt{File: name, Offset: pos, Reason: "bad header event"}
+			return nil, &ErrCorrupt{File: name, Offset: pos, Reason: "bad header event"}
 		}
 		if i == 0 && ev.typ != EventFormatDesc {
-			return &ErrCorrupt{File: name, Offset: pos, Reason: "missing format description"}
+			return nil, &ErrCorrupt{File: name, Offset: pos, Reason: "missing format description"}
 		}
 		if i == 1 {
 			if ev.typ != EventPrevGTIDs {
-				return &ErrCorrupt{File: name, Offset: pos, Reason: "missing previous gtids"}
+				return nil, &ErrCorrupt{File: name, Offset: pos, Reason: "missing previous gtids"}
 			}
 			if len(l.files) == 0 {
 				prev, err := gtid.ParseSet(string(ev.body))
 				if err != nil {
-					return &ErrCorrupt{File: name, Offset: pos, Reason: "bad previous gtids: " + err.Error()}
+					return nil, &ErrCorrupt{File: name, Offset: pos, Reason: "bad previous gtids: " + err.Error()}
 				}
 				l.gtids.Union(prev)
 			}
@@ -305,7 +319,7 @@ func (l *Log) recoverFile(name string) error {
 	if ev, n, err := decodeEvent(data[pos:]); err == nil && ev != nil && ev.typ == EventSnapshotAnchor {
 		op, err := decodeAnchorBody(ev.body)
 		if err != nil {
-			return &ErrCorrupt{File: name, Offset: pos, Reason: err.Error()}
+			return nil, &ErrCorrupt{File: name, Offset: pos, Reason: err.Error()}
 		}
 		if l.anchor.Less(op) {
 			l.anchor = op
@@ -316,7 +330,12 @@ func (l *Log) recoverFile(name string) error {
 	for {
 		entry, n, err := readEntryAt(data, pos, name)
 		if err != nil || entry == nil {
-			break // torn/corrupt tail: keep what we have
+			damaged = &ErrCorrupt{File: name, Offset: pos, Reason: "truncated record"}
+			var ce *ErrCorrupt
+			if errors.As(err, &ce) {
+				damaged.Reason = ce.Reason
+			}
+			break
 		}
 		loc := entryLoc{file: lf, offset: pos, length: n}
 		l.offsets[entry.OpID.Index] = loc
@@ -335,7 +354,29 @@ func (l *Log) recoverFile(name string) error {
 		lf.size = pos
 	}
 	l.files = append(l.files, lf)
-	return nil
+	if pos == int64(len(data)) {
+		return nil, nil
+	}
+	if next := nextEntryAfter(data, pos); next >= 0 {
+		damaged.Reason += fmt.Sprintf(", followed by an entry at offset %d", next)
+		return nil, damaged
+	}
+	return damaged, nil
+}
+
+// nextEntryAfter returns the offset of the first decodable entry that
+// starts after pos, or -1 when none does.
+func nextEntryAfter(data []byte, pos int64) int64 {
+	for p := pos + 1; p+eventHeaderLen <= int64(len(data)); p++ {
+		// An entry opens with a flag-less GTID event; skip the rest cheaply.
+		if data[p] != byte(EventGTID) || data[p+1] != 0 || data[p+2] != 0 {
+			continue
+		}
+		if e, _, err := readEntryAt(data, p, ""); err == nil && e != nil {
+			return p
+		}
+	}
+	return -1
 }
 
 // readEntryAt decodes the full entry starting at pos. It returns the entry

@@ -761,3 +761,96 @@ func TestSyncCoalescesWhenClean(t *testing.T) {
 		t.Fatalf("clean sync was not coalesced: %v", err)
 	}
 }
+
+// damageEntry writes ten synced entries (rotating after rotateAfter when it
+// is non-zero), closes the log, flips one byte in the middle of entry
+// index and returns the directory, the damaged file and the entry's
+// offset in it.
+func damageEntry(t *testing.T, rotateAfter, index uint64) (dir, file string, offset int64) {
+	t.Helper()
+	dir = t.TempDir()
+	l := openTestLog(t, Options{Dir: dir})
+	for i := uint64(1); i <= 10; i++ {
+		if err := l.Append(normalEntry(1, i, fmt.Sprintf("payload-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == rotateAfter {
+			if err := l.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	loc := l.offsets[index]
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, loc.file.name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[loc.offset+loc.length/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, loc.file.name, loc.offset
+}
+
+// wantCorruptAt asserts that Open reports corruption of the record at
+// file:offset and leaves the file as it found it.
+func wantCorruptAt(t *testing.T, dir, file string, offset int64) {
+	t.Helper()
+	before, err := os.ReadFile(filepath.Join(dir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Options{Dir: dir})
+	if err == nil {
+		l.Close()
+		t.Fatalf("Open succeeded with LastOpID %v over a damaged synced entry", l.LastOpID())
+	}
+	var ce *ErrCorrupt
+	if !errors.As(err, &ce) || ce.File != file || ce.Offset != offset {
+		t.Fatalf("Open error = %v, want ErrCorrupt in %s at offset %d", err, file, offset)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("Open rewrote %s (%d → %d bytes) after finding it corrupt", file, len(before), len(after))
+	}
+}
+
+// A damaged record followed by decodable entries is corruption, not a torn
+// tail: trimming it would delete synced entries 4–10.
+func TestOpenReportsCorruptRecordBeforeValidEntries(t *testing.T) {
+	dir, file, offset := damageEntry(t, 0, 4)
+	wantCorruptAt(t, dir, file, offset)
+}
+
+// Damage in a file that is not the active one is corruption wherever it
+// is: skipping it would leave a hole at 3–5 under a LastOpID of 10.
+func TestOpenReportsCorruptRecordInRotatedFile(t *testing.T) {
+	dir, file, offset := damageEntry(t, 5, 3)
+	wantCorruptAt(t, dir, file, offset)
+	// Its last record too: only the active file can end torn.
+	dir, file, offset = damageEntry(t, 5, 5)
+	wantCorruptAt(t, dir, file, offset)
+}
+
+// A damaged last record of the active file cannot be told from a torn
+// write, so it is trimmed as one.
+func TestOpenTrimsDamagedLastRecordAsTornTail(t *testing.T) {
+	dir, _, _ := damageEntry(t, 0, 10)
+	l := openTestLog(t, Options{Dir: dir})
+	if got := l.LastOpID().Index; got != 9 {
+		t.Fatalf("LastOpID.Index = %d, want 9", got)
+	}
+	if err := l.Append(normalEntry(1, 10, "replacement")); err != nil {
+		t.Fatal(err)
+	}
+}

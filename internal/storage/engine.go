@@ -211,8 +211,9 @@ func decodeWALRecord(data []byte) (*walRecord, []byte, bool) {
 	if len(data) < 4 {
 		return nil, nil, false
 	}
-	n := binary.BigEndian.Uint32(data)
-	if uint32(len(data)) < 4+n+4 {
+	// In 64 bits: a length near 2³² must not wrap past the bounds check.
+	n := uint64(binary.BigEndian.Uint32(data))
+	if uint64(len(data)) < 4+n+4 {
 		return nil, nil, false
 	}
 	body := data[4 : 4+n]
@@ -285,11 +286,13 @@ func WALCommitOps(dir string) ([]opid.OpID, error) {
 	return ops, nil
 }
 
+// applyChange installs c.After without a copy: Txn.Set and readBytes (WAL
+// recovery, the replica applier) hand over slices nothing else writes.
 func (e *Engine) applyChange(c RowChange) {
 	if c.IsDelete() {
 		delete(e.rows, c.Key)
 	} else {
-		e.rows[c.Key] = append([]byte(nil), c.After...)
+		e.rows[c.Key] = c.After
 	}
 }
 
@@ -444,15 +447,15 @@ func (e *Engine) Begin() *Txn {
 	defer e.mu.Unlock()
 	id := e.nextTxn
 	e.nextTxn++
-	return &Txn{engine: e, id: id, writes: make(map[string]RowChange)}
+	return &Txn{engine: e, id: id, writes: make(map[string]int)}
 }
 
 // Txn is a single transaction. A Txn is used by one goroutine at a time.
 type Txn struct {
 	engine   *Engine
 	id       uint64
-	writes   map[string]RowChange
-	order    []string // keys in first-write order, for deterministic payloads
+	writes   map[string]int // key → its change's position in changes
+	changes  []RowChange    // in first-write order, for deterministic payloads
 	locked   []string
 	prepared bool
 	done     bool
@@ -522,7 +525,8 @@ func (t *Txn) Get(key string) ([]byte, bool, error) {
 	if t.done {
 		return nil, false, ErrTxnFinished
 	}
-	if c, ok := t.writes[key]; ok {
+	if i, ok := t.writes[key]; ok {
+		c := t.changes[i]
 		if c.IsDelete() {
 			return nil, false, nil
 		}
@@ -552,26 +556,21 @@ func (t *Txn) write(key string, after []byte) error {
 	if err := t.lockRow(key); err != nil {
 		return err
 	}
-	if prev, ok := t.writes[key]; ok {
-		// Preserve the original before-image across rewrites.
-		t.writes[key] = RowChange{Key: key, Before: prev.Before, After: after}
+	if i, ok := t.writes[key]; ok {
+		t.changes[i].After = after
 		return nil
 	}
-	before, _ := t.engine.Get(key)
-	t.writes[key] = RowChange{Key: key, Before: before, After: after}
-	t.order = append(t.order, key)
+	t.writes[key] = len(t.changes)
+	t.changes = append(t.changes, RowChange{Key: key, After: after})
 	return nil
 }
 
 // Changes returns the transaction's row changes in first-write order. The
-// primary serializes this as the binlog payload.
-func (t *Txn) Changes() []RowChange {
-	out := make([]RowChange, 0, len(t.order))
-	for _, k := range t.order {
-		out = append(out, t.writes[k])
-	}
-	return out
-}
+// primary serializes this as the binlog payload. It is the transaction's
+// own list, not a copy, and fixed once Prepare refuses further writes, so
+// Prepare, the commit pipeline and Commit share it; callers must not
+// modify it.
+func (t *Txn) Changes() []RowChange { return t.changes }
 
 // Prepare writes the prepare marker and row changes to the engine WAL.
 // After Prepare, the transaction holds its locks and waits for the
@@ -616,11 +615,9 @@ func (t *Txn) Prepare() error {
 // locks. This is stage 3 of the commit pipeline (§3.4).
 func (t *Txn) Commit(op opid.OpID) error {
 	e := t.engine
-	// Commit records are small, but the change-list snapshot walks
-	// txn-local state only; take both off-lock so the commit sequencer's
+	// Commit records are small; encode off-lock so the commit sequencer's
 	// critical section is just the WAL write and the row-map update.
 	rec := encodeWALRecord(&walRecord{typ: walCommit, txnID: t.id, op: op})
-	changes := t.Changes()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if t.done {
@@ -635,7 +632,7 @@ func (t *Txn) Commit(op opid.OpID) error {
 	if err := e.writeWALBytes(rec); err != nil {
 		return err
 	}
-	for _, c := range changes {
+	for _, c := range t.changes {
 		e.applyChange(c)
 	}
 	if e.lastOp.Less(op) {

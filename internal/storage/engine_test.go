@@ -166,30 +166,125 @@ func TestRollbackReleasesLocks(t *testing.T) {
 	t2.Rollback()
 }
 
-func TestChangesPreserveOrderAndBeforeImage(t *testing.T) {
+func TestChangesKeepFirstWriteOrderWithMinimalImages(t *testing.T) {
 	e := openTestEngine(t, "")
-	mustCommit(t, e, opid.OpID{Term: 1, Index: 1}, map[string]string{"a": "orig"})
+	mustCommit(t, e, opid.OpID{Term: 1, Index: 1}, map[string]string{"a": "orig", "c": "orig"})
 	txn := e.Begin()
-	txn.Set("b", []byte("1"))
-	txn.Set("a", []byte("2"))
-	txn.Set("b", []byte("3")) // rewrite: before-image must stay nil
+	txn.Set("b", []byte("1")) // insert
+	txn.Set("a", []byte("2")) // update
+	if got := txn.Changes(); len(got) != 2 {
+		t.Fatalf("changes before the rewrite = %v", got)
+	}
+	txn.Set("b", []byte("3")) // rewrite: a later write must show
+	txn.Delete("c")
 	changes := txn.Changes()
-	if len(changes) != 2 {
+	if len(changes) != 3 {
 		t.Fatalf("changes = %v", changes)
 	}
-	if changes[0].Key != "b" || changes[1].Key != "a" {
-		t.Fatalf("order = %v %v", changes[0].Key, changes[1].Key)
+	for i, want := range []struct{ key, after string }{{"b", "3"}, {"a", "2"}, {"c", ""}} {
+		c := changes[i]
+		if c.Key != want.key || string(c.After) != want.after {
+			t.Fatalf("change %d = %q→%q, want %q→%q", i, c.Key, c.After, want.key, want.after)
+		}
+		if c.Before != nil {
+			t.Fatalf("change %d (%s) carries a before-image %q", i, c.Key, c.Before)
+		}
 	}
-	if changes[0].Before != nil {
-		t.Fatalf("b before-image = %q, want nil (insert)", changes[0].Before)
+	if !changes[2].IsDelete() {
+		t.Fatal("delete of c lost")
 	}
-	if string(changes[0].After) != "3" {
-		t.Fatalf("b after = %q", changes[0].After)
+	if err := txn.Prepare(); err != nil {
+		t.Fatal(err)
 	}
-	if string(changes[1].Before) != "orig" {
-		t.Fatalf("a before = %q", changes[1].Before)
+	// Prepare froze the list: Commit and the commit pipeline reuse it.
+	if allocs := testing.AllocsPerRun(10, func() { txn.Changes() }); allocs != 0 {
+		t.Fatalf("Changes after Prepare allocates %v times", allocs)
 	}
 	txn.Rollback()
+}
+
+// TestCommittedRowsOwnTheirBytes: commit installs a change's After without
+// a copy, so each producer must hand over bytes nothing else writes.
+// Mutating, after commit, the buffer passed to Set, a Get result or the
+// payload a replica applied must leave the committed rows unchanged.
+func TestCommittedRowsOwnTheirBytes(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir)
+	commit := func(txn *Txn, idx uint64) {
+		t.Helper()
+		if err := txn.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(opid.OpID{Term: 1, Index: idx}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] ^= 0xff
+		}
+	}
+
+	buf := []byte("set-value")
+	txn := e.Begin()
+	if err := txn.Set("set", buf); err != nil {
+		t.Fatal(err)
+	}
+	commit(txn, 1)
+	scribble(buf)
+
+	got, _ := e.Get("set")
+	scribble(got)
+
+	// A replica applies a payload the way mysql's applier does: decode,
+	// then write each change into a transaction.
+	payload := EncodeTxnPayload([]RowChange{{Key: "replica", After: []byte("replica-value")}})
+	applied, err := DecodeChanges(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn = e.Begin()
+	for _, c := range applied {
+		if err := txn.Set(c.Key, c.After); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(txn, 2)
+	scribble(payload)
+	for _, c := range applied {
+		scribble(c.After)
+	}
+
+	want := map[string]string{"set": "set-value", "replica": "replica-value"}
+	check := func(e *Engine, when string) {
+		t.Helper()
+		for k, v := range want {
+			if got, ok := e.Get(k); !ok || string(got) != v {
+				t.Fatalf("%s: row %s = %q, want %q", when, k, got, v)
+			}
+		}
+	}
+	check(e, "after the mutations")
+	// Recovery installs the WAL's decoded changes the same way.
+	e.Close()
+	check(openTestEngine(t, dir), "after reopen")
+}
+
+// TestMinimalUpdatePayloadSize pins a one-row update's payload: count, the
+// key, the nil before-image marker and the after-image, nothing more.
+func TestMinimalUpdatePayloadSize(t *testing.T) {
+	e := openTestEngine(t, "")
+	const key = "sbtest1:00000042"
+	mustCommit(t, e, opid.OpID{Term: 1, Index: 1}, map[string]string{key: string(make([]byte, 500))})
+	txn := e.Begin()
+	defer txn.Rollback()
+	if err := txn.Set(key, bytes.Repeat([]byte{1}, 500)); err != nil {
+		t.Fatal(err)
+	}
+	want := 4 + (4 + len(key)) + 4 + (4 + 500)
+	if got := len(EncodeChanges(txn.Changes())); got != want {
+		t.Fatalf("one-row 500-byte update encodes to %d bytes, want %d", got, want)
+	}
 }
 
 func TestPrepareCommitLifecycleErrors(t *testing.T) {

@@ -8,7 +8,8 @@
 // never committed, matching the recovery cases of §A.2.
 //
 // The package also defines the row-based-replication payload format
-// (RowChange) shared between the primary, the binlog, and the applier.
+// (RowChange, minimal row images) shared between the primary, the binlog,
+// and the applier: nothing here reads a before-image (no CDC, no flashback).
 package storage
 
 import (
@@ -16,13 +17,14 @@ import (
 	"fmt"
 )
 
-// RowChange is a single row modification in row-based-replication style:
-// the before-image and after-image of a row. Insert has a nil Before,
-// delete has a nil After, update has both.
+// RowChange is a single row modification in row-based-replication style,
+// as a minimal row image: the key and the after-image, nil for a delete.
+// The engine never fills Before (written as the nil marker, formats hold);
+// it goes with the bench/layers rows that set it, in the next bench change.
 type RowChange struct {
 	Key    string
-	Before []byte // nil for inserts
-	After  []byte // nil for deletes
+	Before []byte
+	After  []byte
 }
 
 // IsDelete reports whether the change removes the row.

@@ -135,12 +135,14 @@ stage_spec() {
 	fuzz)
 		# Decoders of bytes read back from disk or the network: the binlog
 		# entry decoder (recovery and every in-memory-tail miss), the
-		# transaction payload decoders the applier runs on every entry, and
-		# the wire decoder every received message goes through.
+		# transaction payload decoders the applier runs on every entry, the
+		# engine WAL record decoder engine recovery runs, and the wire
+		# decoder every received message goes through.
 		cat <<-EOF
 		fuzz:./internal/binlog=FuzzReadEntryAt
 		fuzz:./internal/storage=FuzzDecodeChanges
 		fuzz:./internal/storage=FuzzDecodeTxnPayload
+		fuzz:./internal/storage=FuzzDecodeWALRecord
 		fuzz:./internal/wire=FuzzUnmarshal
 		EOF
 		;;
