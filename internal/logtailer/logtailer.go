@@ -6,8 +6,8 @@
 //
 // Because Raft's longest-log voting rules can elect a logtailer as a
 // temporary leader during failover, the logtailer's promotion callback
-// immediately hands leadership to the most caught-up MySQL voter via a
-// regular graceful TransferLeadership (§2.2, §4.1).
+// immediately hands leadership to a MySQL voter via a regular graceful
+// TransferLeadership (§2.2, §4.1).
 package logtailer
 
 import (
@@ -71,34 +71,37 @@ func (lt *Logtailer) Node() *raft.Node {
 }
 
 // OnPromote implements raft.Callbacks: a logtailer elected leader holds no
-// database, so it transfers leadership to the most caught-up non-witness
-// voter (§2.2). It keeps retrying for as long as it remains leader at this
-// term: a bounded retry budget would let a network fault during failover
-// exhaust every target and leave the witness as a permanent leader that
-// can never serve writes.
+// database, so it transfers leadership to a MySQL voter at once (§2.2).
+// The mock election (§4.3) then runs while the No-Op replicates. The
+// leader this witness replaced is tried last: after a crash it is the
+// member that is down. raft gives up on a target that has answered
+// nothing for an election timeout, so a dead pick costs no more than
+// that before the next voter is tried. The loop keeps going for as long
+// as this node leads at this term: a bounded retry budget would let a
+// network fault during failover exhaust every target and leave the
+// witness as a permanent leader that can never serve writes.
 func (lt *Logtailer) OnPromote(info raft.PromoteInfo) {
 	node := lt.Node()
 	if node == nil {
 		return
 	}
 	failed := make(map[wire.NodeID]bool)
-	for attempt := 0; ; attempt++ {
+	if info.PrevLeader != "" {
+		failed[info.PrevLeader] = true
+	}
+	for {
 		st := node.Status()
 		if st.Role != raft.RoleLeader || st.Term != info.Term {
 			return // someone else took over (or the node stopped); done
 		}
-		// Until replication acknowledgements arrive, match indexes are
-		// zero and liveness is unknown; insisting on match > 0 avoids
-		// handing leadership to the dead member that caused this
-		// failover. After several beats, fall back to any candidate.
-		requireAck := attempt < 10
-		// A target that failed may merely have been partitioned at the
-		// time; periodically forgive everyone so healed members become
-		// eligible again.
-		if len(failed) > 0 && attempt%16 == 15 {
-			failed = make(map[wire.NodeID]bool)
+		target := bestTransferTarget(st, lt.id, failed)
+		if target == "" {
+			// Every MySQL voter failed once: a target that failed may
+			// merely have been partitioned, so start over with all.
+			clear(failed)
+			target = bestTransferTarget(st, lt.id, failed)
 		}
-		if target := bestTransferTarget(st, lt.id, failed, requireAck); target != "" {
+		if target != "" {
 			// TransferLeadership blocks until the transfer fires or
 			// fails — but even a fired transfer is no guarantee: the
 			// target can still lose the election it was handed, and the
@@ -113,20 +116,16 @@ func (lt *Logtailer) OnPromote(info raft.PromoteInfo) {
 }
 
 // bestTransferTarget picks the non-witness voter with the highest match
-// index, skipping excluded members and (when requireAck is set) members
-// that have not acknowledged any replication yet.
-func bestTransferTarget(st raft.Status, self wire.NodeID, exclude map[wire.NodeID]bool, requireAck bool) wire.NodeID {
+// index, skipping excluded members. Ties, such as the all-zero match
+// indexes right after an election, go to the first in config order.
+func bestTransferTarget(st raft.Status, self wire.NodeID, exclude map[wire.NodeID]bool) wire.NodeID {
 	var best wire.NodeID
 	var bestMatch uint64
 	for _, m := range st.Config.Members {
 		if m.ID == self || !m.Voter || m.Witness || exclude[m.ID] {
 			continue
 		}
-		match := st.Match[m.ID]
-		if requireAck && match == 0 {
-			continue
-		}
-		if best == "" || match > bestMatch {
+		if match := st.Match[m.ID]; best == "" || match > bestMatch {
 			best = m.ID
 			bestMatch = match
 		}

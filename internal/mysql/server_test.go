@@ -590,15 +590,24 @@ func TestDemotionAbortsDisablesRewiresRestartsApplier(t *testing.T) {
 	f.manual = true
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	// A write stuck waiting for consensus.
+	// A write stuck waiting for consensus. Demote only once it has been
+	// proposed: the release below covers f.lastIndex(), and a write the
+	// flush stage proposed after that release would wait forever.
+	before := f.lastIndex()
 	stuck := make(chan error, 1)
 	go func() {
 		_, err := s.Set(ctx, "inflight", []byte("v"))
 		stuck <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Engine().PreparedCount() == 0 && time.Now().Before(deadline) {
+	for f.lastIndex() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("write never proposed")
+		}
 		time.Sleep(time.Millisecond)
+	}
+	if s.Engine().PreparedCount() == 0 {
+		t.Fatal("proposed write is not prepared")
 	}
 
 	if err := s.DemoteToReplica(); err != nil {

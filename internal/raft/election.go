@@ -9,8 +9,37 @@ import (
 )
 
 // debugElections enables forensic election logging (set via the
-// MYRAFT_DEBUG_ELECTIONS environment variable).
+// MYRAFT_DEBUG_ELECTIONS environment variable): campaign starts, vote
+// denials, wins and each leadership-transfer step, one line each.
 var debugElections = os.Getenv("MYRAFT_DEBUG_ELECTIONS") != ""
+
+// debugf prints one election-forensics line to stderr, stamped with the
+// wall clock and this node's ID so the lines of every member in a process
+// read as one timeline. Callers check debugElections first.
+func (n *Node) debugf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "%s %s "+format+"\n",
+		append([]any{time.Now().Format("15:04:05.000000"), n.cfg.ID}, args...)...)
+}
+
+// voteKindName names a wire.VoteKind in log lines.
+func voteKindName(k wire.VoteKind) string {
+	switch k {
+	case wire.VotePre:
+		return "pre"
+	case wire.VoteMock:
+		return "mock"
+	}
+	return "real"
+}
+
+// sinceLeaderContact renders how long ago this node last heard from a
+// leader, for the campaign log line.
+func (n *Node) sinceLeaderContact() string {
+	if n.lastLeaderContact.IsZero() {
+		return "never"
+	}
+	return n.clk.Since(n.lastLeaderContact).Round(10 * time.Microsecond).String()
+}
 
 // startCampaign begins an election round of the given kind. Pre-elections
 // probe at term+1 without consuming a term; real elections increment and
@@ -18,6 +47,10 @@ var debugElections = os.Getenv("MYRAFT_DEBUG_ELECTIONS") != ""
 func (n *Node) startCampaign(kind wire.VoteKind) {
 	n.resetElectionDeadline()
 	campaignTerm := n.term + 1
+	if debugElections {
+		n.debugf("CAMPAIGN kind=%s term=%d last=%v leader_contact=%s ago",
+			voteKindName(kind), campaignTerm, n.lastOpID, n.sinceLeaderContact())
+	}
 	if kind == wire.VoteReal {
 		n.term = campaignTerm
 		n.votedFor = n.cfg.ID
@@ -99,6 +132,15 @@ func (n *Node) handleVoteReq(req *wire.RequestVoteReq) {
 			n.lastLeaderTerm = req.Term
 		}
 	}
+	n.sendVote(req, resp)
+}
+
+// sendVote answers a vote request, logging a denial with its reason.
+func (n *Node) sendVote(req *wire.RequestVoteReq, resp *wire.RequestVoteResp) {
+	if debugElections && !resp.Granted {
+		n.debugf("DENY %s kind=%s term=%d their_last=%v my_last=%v reason=%q",
+			req.Candidate, voteKindName(req.Kind), req.Term, req.LastOpID, n.lastOpID, resp.Reason)
+	}
 	n.tr.Send(req.Candidate, resp)
 }
 
@@ -126,7 +168,7 @@ func (n *Node) handlePreVoteReq(req *wire.RequestVoteReq) {
 	default:
 		resp.Reason = "candidate log behind"
 	}
-	n.tr.Send(req.Candidate, resp)
+	n.sendVote(req, resp)
 }
 
 // handleMockVoteReq applies the modified mock-election voting rule
@@ -148,7 +190,7 @@ func (n *Node) handleMockVoteReq(req *wire.RequestVoteReq) {
 	} else {
 		resp.Granted = true
 	}
-	n.tr.Send(req.Candidate, resp)
+	n.sendVote(req, resp)
 }
 
 // handleVoteResp tallies campaign and mock-election votes.
@@ -201,16 +243,7 @@ func (n *Node) maybeWinCampaign() {
 		return
 	}
 	if debugElections {
-		votes := make([]string, 0, len(c.votes))
-		for v := range c.votes {
-			votes = append(votes, string(v))
-		}
-		regions := make([]string, 0, len(c.intersect))
-		for r := range c.intersect {
-			regions = append(regions, string(r))
-		}
-		fmt.Fprintf(os.Stderr, "ELECTED %s term=%d last=%v votes=%v intersect=%v\n",
-			n.cfg.ID, n.term, n.lastOpID, votes, regions)
+		n.debugf("ELECTED term=%d last=%v votes=%v intersect=%v", n.term, n.lastOpID, c.votes, c.intersect)
 	}
 	n.becomeLeader()
 }
@@ -335,6 +368,9 @@ func (n *Node) handleMockResult(res *wire.MockElectionResult) {
 	t := n.transfer
 	if t == nil || n.role != RoleLeader || res.From != t.target || t.stage != transferMock {
 		return
+	}
+	if debugElections {
+		n.debugf("TRANSFER mock %s success=%v reason=%q", t.target, res.Success, res.Reason)
 	}
 	if !res.Success {
 		n.finishTransfer(ErrTransferFailed)

@@ -179,6 +179,9 @@ func (n *Node) TransferLeadership(target wire.NodeID) error {
 			resp <- ErrUnknownMember
 			return
 		}
+		if debugElections {
+			n.debugf("TRANSFER start %s term=%d last=%v", target, n.term, n.lastOpID)
+		}
 		n.transfer = &transferState{
 			target:   target,
 			stage:    transferMock,
@@ -226,17 +229,26 @@ func (n *Node) finishTransfer(err error) {
 
 // tickTransfer drives the transfer deadline. A fired transfer whose
 // target never took over expires silently and the leader resumes writes;
-// earlier stages time out with an error to the caller.
+// earlier stages time out with an error to the caller. A mock stage whose
+// target has answered nothing for an election timeout fails at once: a
+// dead target then costs the caller, such as a witness leader trying
+// MySQL voters in turn, no more than that before it tries another.
 func (n *Node) tickTransfer(now time.Time) {
-	if n.transfer == nil || n.role != RoleLeader {
+	t := n.transfer
+	if t == nil || n.role != RoleLeader {
 		return
 	}
-	if !now.After(n.transfer.deadline) {
+	ps := n.peers[t.target]
+	silent := t.stage == transferMock && ps != nil && now.Sub(ps.lastAck) > n.maxElectionTimeout()
+	if !silent && !now.After(t.deadline) {
 		return
 	}
-	if n.transfer.stage == transferFired {
+	if t.stage == transferFired {
 		n.transfer = nil
 		return
 	}
-	n.finishTransfer(fmt.Errorf("%w: timed out in stage %d", ErrTransferFailed, n.transfer.stage))
+	if debugElections {
+		n.debugf("TRANSFER give-up %s stage=%d silent=%v", t.target, t.stage, silent)
+	}
+	n.finishTransfer(fmt.Errorf("%w: timed out in stage %d", ErrTransferFailed, t.stage))
 }

@@ -62,6 +62,7 @@ type Node struct {
 	lastLeaderRegion  wire.Region
 	lastLeaderTerm    uint64
 	lastLeaderContact time.Time
+	contactLeader     wire.NodeID // the leader lastLeaderContact heard from
 
 	// members is the active membership and voters its cached voter layout
 	// (both replaced together by setMembers); matchScratch and ackScratch
@@ -284,7 +285,13 @@ func (n *Node) Start(bootstrap wire.Config) error {
 	n.selfMatch = n.lastOpID.Index
 	go n.writer.run()
 	go n.notifier.run()
-	go n.run()
+	// The loop's timer is armed here rather than in run, so its first
+	// tick and the election deadline both count from Start.
+	tickEvery := n.cfg.HeartbeatInterval / 2
+	if tickEvery <= 0 {
+		tickEvery = time.Millisecond
+	}
+	go n.run(n.clk.NewTimer(tickEvery), tickEvery, n.clk.Now().Add(tickEvery))
 	return nil
 }
 
@@ -309,8 +316,15 @@ const (
 	entryRotateKind = 4
 )
 
-// run is the event loop.
-func (n *Node) run() {
+// run is the event loop. One timer drives both the periodic work, on a
+// fixed grid of tickEvery from nextTick, and the election deadline: it
+// fires at the next tick, or at the deadline when that falls first, so a
+// voter campaigns when its deadline falls due rather than at the tick
+// after, and voters whose deadlines differ do not campaign in the same
+// tick and split the vote. resetElectionDeadline needs no timer work: a
+// reset deadline is at least one heartbeat away, past the next tick, so
+// the AppendEntries that move it never touch the timer.
+func (n *Node) run(timer clock.Timer, tickEvery time.Duration, nextTick time.Time) {
 	defer func() {
 		// Drain the log writer (final group fsync) and flush the last
 		// commit notification before reporting the node fully stopped.
@@ -318,12 +332,7 @@ func (n *Node) run() {
 		n.notifier.stop()
 		close(n.done)
 	}()
-	tickEvery := n.cfg.HeartbeatInterval / 2
-	if tickEvery <= 0 {
-		tickEvery = time.Millisecond
-	}
-	ticker := n.clk.NewTicker(tickEvery)
-	defer ticker.Stop()
+	defer timer.Stop()
 	var lastHeartbeat time.Time
 	for {
 		select {
@@ -348,23 +357,32 @@ func (n *Node) run() {
 			}
 		case env := <-n.tr.Recv():
 			n.handleMessage(env)
-		case <-ticker.C():
+		case <-timer.C():
 			now := n.clk.Now()
-			switch n.role {
-			case RoleLeader:
-				if now.Sub(lastHeartbeat) >= n.cfg.HeartbeatInterval {
-					lastHeartbeat = now
-					n.broadcastAppend()
+			if !now.Before(nextTick) {
+				for !nextTick.After(now) {
+					nextTick = nextTick.Add(tickEvery)
 				}
-				n.maybeAutoStepDown(now)
-			default:
-				if n.isVoter(n.cfg.ID) && now.After(n.electionDeadline) {
-					n.startCampaign(wire.VotePre)
+				if n.role == RoleLeader {
+					if now.Sub(lastHeartbeat) >= n.cfg.HeartbeatInterval {
+						lastHeartbeat = now
+						n.broadcastAppend()
+					}
+					n.maybeAutoStepDown(now)
 				}
+				n.tickProxies(now)
+				n.tickMock(now)
+				n.tickTransfer(now)
 			}
-			n.tickProxies(now)
-			n.tickMock(now)
-			n.tickTransfer(now)
+			canCampaign := n.role != RoleLeader && n.isVoter(n.cfg.ID)
+			if canCampaign && !now.Before(n.electionDeadline) {
+				n.startCampaign(wire.VotePre) // moves the deadline on
+			}
+			wake := nextTick
+			if canCampaign && n.electionDeadline.Before(wake) {
+				wake = n.electionDeadline
+			}
+			timer.Reset(wake.Sub(now))
 		}
 		// Flush one coalesced broadcast for all proposals accepted in
 		// this loop pass.
@@ -424,6 +442,22 @@ func (n *Node) resetElectionDeadline() {
 	base := time.Duration(n.cfg.ElectionTimeoutTicks) * n.cfg.HeartbeatInterval
 	jitter := time.Duration(n.rng.Float64() * 2 * float64(n.cfg.HeartbeatInterval))
 	n.electionDeadline = n.clk.Now().Add(base + jitter + n.cfg.ElectionTimeoutBias)
+}
+
+// maxElectionTimeout is the longest timeout resetElectionDeadline draws
+// (bias aside): ElectionTimeoutTicks intervals plus two of jitter.
+func (n *Node) maxElectionTimeout() time.Duration {
+	return time.Duration(n.cfg.ElectionTimeoutTicks+2) * n.cfg.HeartbeatInterval
+}
+
+// noteLeaderContact records a message from the current leader: it holds
+// off this node's election and is what pre-vote stickiness and
+// PromoteInfo.PrevLeader read.
+func (n *Node) noteLeaderContact(leader wire.NodeID) {
+	n.leader = leader
+	n.contactLeader = leader
+	n.lastLeaderContact = n.clk.Now()
+	n.resetElectionDeadline()
 }
 
 func (n *Node) strategy() quorum.Strategy {
@@ -607,7 +641,7 @@ func (n *Node) becomeLeader() {
 	n.advanceLeaderCommit()
 	n.broadcastAppend()
 	n.noteRole()
-	info := PromoteInfo{Term: n.term, NoOpIndex: n.noOpIndex}
+	info := PromoteInfo{Term: n.term, NoOpIndex: n.noOpIndex, PrevLeader: n.contactLeader}
 	go n.cb.OnPromote(info)
 }
 

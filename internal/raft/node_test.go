@@ -506,19 +506,37 @@ func TestMajorityStallsWhenRemoteRegionsDown(t *testing.T) {
 
 func TestWitnessElectedTransfersAway(t *testing.T) {
 	// §2.2/§4.1: a logtailer can win an election (longest log) but then
-	// hands leadership to a real MySQL via TransferLeadership. Here we
-	// verify a witness CAN become leader; the auto-transfer behaviour
-	// lives in the logtailer package.
-	cfg := paperConfig(1)
-	c := newCluster(t, cfg, nil)
-	c.elect("lt-0-0")
-	if c.nodes["lt-0-0"].Status().Role != RoleLeader {
-		t.Fatal("witness did not become leader")
+	// hands leadership to a real MySQL via TransferLeadership (the
+	// logtailer package picks the targets). Here a witness leads while
+	// its first-choice MySQL voter is down too: the mock stage gives up
+	// on it within one election timeout, and the handoff to the other
+	// voter completes within two.
+	const hb = 30 * time.Millisecond
+	c := newCluster(t, paperConfig(3), func(id wire.NodeID, region wire.Region) Config {
+		cfg := defaultNodeCfg(id, region)
+		cfg.HeartbeatInterval = hb
+		return cfg
+	})
+	witness := c.elect("lt-0-0")
+	electionTimeout := witness.maxElectionTimeout()
+	c.net.SetNodeDown("mysql-1", true)
+
+	start := time.Now()
+	if err := witness.TransferLeadership("mysql-1"); !errors.Is(err, ErrTransferFailed) {
+		t.Fatalf("transfer to a down voter: err = %v", err)
 	}
-	if err := c.nodes["lt-0-0"].TransferLeadership("mysql-0"); err != nil {
+	// One election timeout of silence, plus up to a beat for the tick
+	// that notices it and one more for scheduling.
+	if took := time.Since(start); took > electionTimeout+2*hb {
+		t.Fatalf("mock stage held a dead target for %v, want about one election timeout (%v)", took, electionTimeout)
+	}
+	if err := witness.TransferLeadership("mysql-2"); err != nil {
 		t.Fatal(err)
 	}
-	c.waitLeader("mysql-0")
+	c.waitLeader("mysql-2")
+	if took := time.Since(start); took > 2*electionTimeout {
+		t.Fatalf("handoff took %v, want within two election timeouts (%v)", took, 2*electionTimeout)
+	}
 }
 
 func TestForceQuorumAllowsSingleNodeElection(t *testing.T) {

@@ -116,6 +116,10 @@ type PromoteInfo struct {
 	// state machine must catch up to it before enabling writes (§3.3
 	// promotion step 2).
 	NoOpIndex uint64
+	// PrevLeader is the last leader this node heard from before it won
+	// (empty if none): after a crash, the member whose loss caused the
+	// election. A witness hands leadership to anyone else first.
+	PrevLeader wire.NodeID
 }
 
 // Callbacks is the callback API from Raft into the state machine (§3.1):

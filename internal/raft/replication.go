@@ -246,9 +246,7 @@ func (n *Node) handleAppendReq(from wire.NodeID, req *wire.AppendEntriesReq) {
 	if req.Term > n.term || n.role != RoleFollower {
 		n.becomeFollower(req.Term, req.LeaderID)
 	}
-	n.leader = req.LeaderID
-	n.lastLeaderContact = n.clk.Now()
-	n.resetElectionDeadline()
+	n.noteLeaderContact(req.LeaderID)
 	if r := n.regionOf(req.LeaderID); r != "" {
 		n.lastLeaderRegion = r
 		n.lastLeaderTerm = req.Term
@@ -536,7 +534,10 @@ func (n *Node) checkTransferProgress() {
 	// Stay quiesced until the target's election demotes us (or a grace
 	// period passes), so no client write is accepted only to be truncated
 	// by the new leader moments later.
-	t.deadline = n.clk.Now().Add(time.Duration(n.cfg.ElectionTimeoutTicks+2) * n.cfg.HeartbeatInterval)
+	t.deadline = n.clk.Now().Add(n.maxElectionTimeout())
+	if debugElections {
+		n.debugf("TRANSFER fire %s last=%v", t.target, n.lastOpID)
+	}
 	n.tr.Send(t.target, &wire.StartElection{
 		Term: n.term,
 		From: n.cfg.ID,

@@ -266,9 +266,7 @@ func (n *Node) handleSnapshotReq(req *wire.InstallSnapshotReq) {
 	if req.Term > n.term || n.role != RoleFollower {
 		n.becomeFollower(req.Term, req.LeaderID)
 	}
-	n.leader = req.LeaderID
-	n.lastLeaderContact = n.clk.Now()
-	n.resetElectionDeadline()
+	n.noteLeaderContact(req.LeaderID)
 	resp.Term = n.term
 
 	// Idempotence: if the log already covers the anchor (a duplicated

@@ -536,9 +536,10 @@ func (t *Txn) Get(key string) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// Set buffers a write of key=value, acquiring the row lock.
+// Set buffers a write of key=value, acquiring the row lock. The copy is
+// never nil, even for an empty value: a nil After is a delete.
 func (t *Txn) Set(key string, value []byte) error {
-	return t.write(key, append([]byte(nil), value...))
+	return t.write(key, append(make([]byte, 0, len(value)), value...))
 }
 
 // Delete buffers a deletion of key, acquiring the row lock.

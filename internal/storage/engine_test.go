@@ -270,6 +270,62 @@ func TestCommittedRowsOwnTheirBytes(t *testing.T) {
 	check(openTestEngine(t, dir), "after reopen")
 }
 
+// TestSetEmptyValueKeepsTheRow: an empty value is a row, not a delete —
+// after commit, on a replica that applies the decoded payload, and after
+// the engine recovers from its WAL.
+func TestSetEmptyValueKeepsTheRow(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir)
+	mustCommit(t, e, opid.OpID{Term: 1, Index: 1}, map[string]string{"k": "v"})
+	txn := e.Begin()
+	if err := txn.Set("k", []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	payload := EncodeTxnPayload(txn.Changes())
+	if err := txn.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(opid.OpID{Term: 1, Index: 2}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(e *Engine, when string) {
+		t.Helper()
+		if v, ok := e.Get("k"); !ok || len(v) != 0 {
+			t.Fatalf("%s: Get = %q, %v; want an empty row", when, v, ok)
+		}
+		if n := e.RowCount(); n != 1 {
+			t.Fatalf("%s: RowCount = %d, want 1", when, n)
+		}
+	}
+	check(e, "after commit")
+
+	replica := openTestEngine(t, "")
+	mustCommit(t, replica, opid.OpID{Term: 1, Index: 1}, map[string]string{"k": "v"})
+	applied, err := DecodeChanges(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn = replica.Begin()
+	for _, c := range applied {
+		if c.IsDelete() {
+			t.Fatalf("decoded change %+v is a delete", c)
+		}
+		if err := txn.Set(c.Key, c.After); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := txn.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(opid.OpID{Term: 1, Index: 2}); err != nil {
+		t.Fatal(err)
+	}
+	check(replica, "on the replica")
+
+	e.Close()
+	check(openTestEngine(t, dir), "after reopen")
+}
+
 // TestMinimalUpdatePayloadSize pins a one-row update's payload: count, the
 // key, the nil before-image marker and the after-image, nothing more.
 func TestMinimalUpdatePayloadSize(t *testing.T) {
