@@ -112,8 +112,12 @@ func cmdStatus(c *adminapi.Client, args []string) error {
 	fmt.Printf("%-12s %-10s %-10s %-6s %-10s %-8s %-10s %s\n",
 		"ID", "REGION", "KIND", "DOWN", "ROLE", "TERM", "COMMIT", "LAST")
 	for _, m := range st.Members {
-		fmt.Printf("%-12s %-10s %-10s %-6v %-10s %-8d %-10d %s\n",
-			m.ID, m.Region, m.Kind, m.Down, m.Role, m.Term, m.CommitIndex, m.LastOpID)
+		fmt.Printf("%-12s %-10s %-10s %-6v ", m.ID, m.Region, m.Kind, m.Down)
+		if m.Status == nil {
+			fmt.Println("-") // down: no raft state
+			continue
+		}
+		fmt.Printf("%-10s %-8d %-10d %s\n", m.Role, m.Term, m.CommitIndex, m.LastOpID)
 	}
 	return nil
 }

@@ -92,7 +92,7 @@ func renderTop(st adminapi.TraceStatus) {
 			}
 			fmt.Printf("%-14s %-8s %-14s %8d %10s %10s %10s %10s\n",
 				m.ID, shard, s.String(), sum.Count,
-				ns(sum.P50NS), ns(sum.P95NS), ns(sum.P99NS), ns(sum.MaxNS))
+				ns(sum.Median), ns(sum.P95), ns(sum.P99), ns(sum.Max))
 		}
 	}
 
@@ -137,7 +137,7 @@ func stageList(op adminapi.TraceSlowOp) string {
 	return out
 }
 
-func ns(v int64) string { return time.Duration(v).Round(time.Microsecond).String() }
+func ns[T ~int64](v T) string { return time.Duration(v).Round(time.Microsecond).String() }
 
 func orDash(s string) string {
 	if s == "" {

@@ -20,82 +20,12 @@ import (
 
 	"myraft/internal/cluster"
 	"myraft/internal/multiraft"
-	"myraft/internal/mysql"
 	"myraft/internal/opid"
 	"myraft/internal/quorumfixer"
 	"myraft/internal/raft"
 	"myraft/internal/readpath"
 	"myraft/internal/wire"
 )
-
-// MemberStatus is one member's externally visible state.
-type MemberStatus struct {
-	ID          string `json:"id"`
-	Region      string `json:"region"`
-	Kind        string `json:"kind"`
-	Down        bool   `json:"down"`
-	Role        string `json:"role,omitempty"`
-	Term        uint64 `json:"term,omitempty"`
-	Leader      string `json:"leader,omitempty"`
-	CommitIndex uint64 `json:"commit_index,omitempty"`
-	LastOpID    string `json:"last_opid,omitempty"`
-	// FirstIndex / SnapshotAnchor describe the retained log window under
-	// the bounded-log lifecycle: the lowest index still on disk (0 when
-	// the log is empty) and the op the log was last reset to by a
-	// snapshot install (absent when the member never installed one).
-	FirstIndex     uint64 `json:"first_index,omitempty"`
-	SnapshotAnchor string `json:"snapshot_anchor,omitempty"`
-	// LeaseHeld / LeaseExpiry report the leader's read lease (leaders
-	// only): whether lease reads are currently served locally and until
-	// when, clock skew already discounted.
-	LeaseHeld   bool        `json:"lease_held,omitempty"`
-	LeaseExpiry string      `json:"lease_expiry,omitempty"`
-	ReadOnly    *bool       `json:"read_only,omitempty"`
-	GTIDs       string      `json:"gtid_executed,omitempty"`
-	BinlogFiles []FileEntry `json:"binlog_files,omitempty"`
-	// BinlogBytes is the on-disk size of the member's binlog inventory,
-	// the number the purge coordinator exists to bound.
-	BinlogBytes int64 `json:"binlog_bytes,omitempty"`
-	// Snapshots reports snapshot-transfer activity (leader-side chunks
-	// and bytes sent, follower-side installs) when any occurred.
-	Snapshots *raft.SnapshotStats `json:"snapshots,omitempty"`
-	// Durability reports the async log writer's pipeline state: how far
-	// fsync has progressed, how it is batching, and how far acks lag
-	// appends (§3.4 group commit observability).
-	Durability *DurabilityStatus `json:"durability,omitempty"`
-	// Apply reports the replica applier's progress and parallel-apply
-	// scheduling outcomes (§3.5): apply lag, worker occupancy, and how
-	// often writeset tracking fell back to serial ordering.
-	Apply *mysql.ApplyStatus `json:"apply,omitempty"`
-	// Pipeline reports the primary commit pipeline's overlap state
-	// (§3.4): in-flight groups, group-size distribution, per-stage busy
-	// time and engine sync coalescing.
-	Pipeline *mysql.PipelineStatus `json:"pipeline,omitempty"`
-}
-
-// DurabilityStatus is the /status view of one member's async log writer.
-type DurabilityStatus struct {
-	DurableIndex  uint64 `json:"durable_index"`
-	AppendedIndex uint64 `json:"appended_index"`
-	UnsyncedBytes int64  `json:"unsynced_bytes"`
-	Fsyncs        int64  `json:"fsyncs"`
-	// Fsync batch size distribution (entries per fsync).
-	FsyncBatchP50 int64 `json:"fsync_batch_p50,omitempty"`
-	FsyncBatchP99 int64 `json:"fsync_batch_p99,omitempty"`
-	FsyncBatchMax int64 `json:"fsync_batch_max,omitempty"`
-	// Append→durable latency distribution.
-	AppendDurableP50 string `json:"append_durable_p50,omitempty"`
-	AppendDurableP99 string `json:"append_durable_p99,omitempty"`
-	// Total time the raft event loop spent blocked on the writer
-	// (backpressure and barrier waits).
-	LoopBlocked string `json:"loop_blocked,omitempty"`
-}
-
-// FileEntry mirrors SHOW BINARY LOGS output.
-type FileEntry struct {
-	Name string `json:"name"`
-	Size int64  `json:"size"`
-}
 
 // ClusterStatus is the GET /status payload: one shard ring's state,
 // situated in its process runtime by Shard/Shards/TableVersion.
@@ -108,8 +38,8 @@ type ClusterStatus struct {
 	// coordinator drove (0 before the first purge).
 	PurgeFloor uint64 `json:"purge_floor,omitempty"`
 	// TableVersion is the routing-table generation currently serving.
-	TableVersion uint64         `json:"table_version"`
-	Members      []MemberStatus `json:"members"`
+	TableVersion uint64                 `json:"table_version"`
+	Members      []cluster.MemberStatus `json:"members"`
 }
 
 // RuntimeStatus is the aggregate GET /runtime payload: fleet-level
@@ -202,15 +132,6 @@ func (s *Server) shardScope(r *http.Request) (*cluster.Cluster, wire.ShardID, er
 	return c, id, nil
 }
 
-// Status builds one shard ring's status snapshot.
-func (s *Server) Status(shard wire.ShardID) (ClusterStatus, error) {
-	c := s.rt.Shard(shard)
-	if c == nil {
-		return ClusterStatus{}, fmt.Errorf("unknown shard %d", shard)
-	}
-	return s.clusterStatus(c, shard), nil
-}
-
 func (s *Server) clusterStatus(c *cluster.Cluster, shard wire.ShardID) ClusterStatus {
 	st := ClusterStatus{
 		Name:         c.Name(),
@@ -223,68 +144,7 @@ func (s *Server) clusterStatus(c *cluster.Cluster, shard wire.ShardID) ClusterSt
 		st.Primary = string(id)
 	}
 	for _, m := range c.Members() {
-		ms := MemberStatus{
-			ID:     string(m.Spec.ID),
-			Region: string(m.Spec.Region),
-			Kind:   "mysql",
-			Down:   m.IsDown(),
-		}
-		if m.Spec.Kind == cluster.KindLogtailer {
-			ms.Kind = "logtailer"
-		}
-		if node := m.Node(); node != nil {
-			ns := node.Status()
-			ms.Role = ns.Role.String()
-			ms.Term = ns.Term
-			ms.Leader = string(ns.Leader)
-			ms.CommitIndex = ns.CommitIndex
-			ms.LastOpID = ns.LastOpID.String()
-			ms.FirstIndex = ns.FirstIndex
-			if !ns.SnapshotAnchor.IsZero() {
-				ms.SnapshotAnchor = ns.SnapshotAnchor.String()
-			}
-			if ss := node.SnapshotStats(); ss != (raft.SnapshotStats{}) {
-				ms.Snapshots = &ss
-			}
-			if ns.Role == raft.RoleLeader {
-				ms.LeaseHeld = ns.LeaseHeld
-				if !ns.LeaseExpiry.IsZero() {
-					ms.LeaseExpiry = ns.LeaseExpiry.Format(time.RFC3339Nano)
-				}
-			}
-			ds := node.DurabilityStats()
-			d := &DurabilityStatus{
-				DurableIndex:  ds.DurableIndex,
-				AppendedIndex: ds.AppendedIndex,
-				UnsyncedBytes: ds.UnsyncedBytes,
-				Fsyncs:        ds.Fsyncs,
-			}
-			if ds.FsyncBatch.Count > 0 {
-				d.FsyncBatchP50 = ds.FsyncBatch.Median
-				d.FsyncBatchP99 = ds.FsyncBatch.P99
-				d.FsyncBatchMax = ds.FsyncBatch.Max
-			}
-			if ds.AppendDurable.Count > 0 {
-				d.AppendDurableP50 = ds.AppendDurable.Median.String()
-				d.AppendDurableP99 = ds.AppendDurable.P99.String()
-			}
-			if ds.LoopBlocked > 0 {
-				d.LoopBlocked = ds.LoopBlocked.String()
-			}
-			ms.Durability = d
-		}
-		if srv := m.Server(); srv != nil {
-			ro := srv.IsReadOnly()
-			ms.ReadOnly = &ro
-			ms.GTIDs = srv.GTIDExecuted().String()
-			as, ps := srv.ApplyStatus(), srv.PipelineStatus()
-			ms.Apply, ms.Pipeline = &as, &ps
-			for _, f := range srv.BinlogFiles() {
-				ms.BinlogFiles = append(ms.BinlogFiles, FileEntry{Name: f.Name, Size: f.Size})
-				ms.BinlogBytes += f.Size
-			}
-		}
-		st.Members = append(st.Members, ms)
+		st.Members = append(st.Members, m.Status())
 	}
 	return st
 }

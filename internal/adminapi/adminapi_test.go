@@ -62,12 +62,12 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	var sawLeader, sawLogtailer bool
 	for _, m := range st.Members {
-		if m.Role == "leader" {
+		if m.Role == raft.RoleLeader {
 			sawLeader = true
 			if m.ReadOnly == nil || *m.ReadOnly {
 				t.Fatalf("leader read-only: %+v", m)
 			}
-			if len(m.BinlogFiles) == 0 || m.GTIDs == "" && m.LastOpID == "0.0" {
+			if len(m.BinlogFiles) == 0 || m.GTIDs == "" && m.LastOpID.IsZero() {
 				t.Fatalf("leader missing log info: %+v", m)
 			}
 		}
@@ -147,7 +147,7 @@ func TestLeveledReadEndpoint(t *testing.T) {
 		}
 		var held bool
 		for _, m := range st.Members {
-			if m.Role == "leader" && m.LeaseHeld && m.LeaseExpiry != "" {
+			if m.Role == raft.RoleLeader && m.LeaseHeld && !m.LeaseExpiry.IsZero() {
 				held = true
 			}
 		}
@@ -330,7 +330,7 @@ func TestPurgeEndpointAndLifecycleStatus(t *testing.T) {
 		t.Fatalf("status purge_floor = %d, want %d", st.PurgeFloor, floor)
 	}
 	for _, m := range st.Members {
-		if m.Role != "leader" {
+		if m.Role != raft.RoleLeader {
 			continue
 		}
 		if m.FirstIndex <= 1 {
@@ -354,7 +354,7 @@ func TestStatusReportsDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range st.Members {
-		if m.Role != "leader" {
+		if m.Role != raft.RoleLeader {
 			continue
 		}
 		d := m.Durability
@@ -370,7 +370,7 @@ func TestStatusReportsDurability(t *testing.T) {
 		if d.DurableIndex == 0 || d.DurableIndex > d.AppendedIndex {
 			t.Fatalf("inconsistent durability cursors: %+v", d)
 		}
-		if d.FsyncBatchMax == 0 {
+		if d.FsyncBatch.Max == 0 {
 			t.Fatalf("fsync batch histogram empty: %+v", d)
 		}
 		return
@@ -402,7 +402,7 @@ func TestStatusReportsApply(t *testing.T) {
 		}
 		// The applier runs on replicas; a promoted leader drains and
 		// stops it (§3.3), so Running is only required of followers.
-		if m.Role == "follower" && !a.Running {
+		if m.Role == raft.RoleFollower && !a.Running {
 			t.Fatalf("%s follower applier not running: %+v", m.ID, a)
 		}
 		if a.Lag > a.CommitIndex {

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"myraft/internal/multiraft"
 )
 
 // Client is the myraftctl side of the admin API.
@@ -184,41 +186,19 @@ func (c *Client) RuntimeStatus() (RuntimeStatus, error) {
 	return st, err
 }
 
-// SplitResult is the client-side decoding of multiraft.SplitReport.
-type SplitResult struct {
-	Source       uint32 `json:"source"`
-	NewShard     uint32 `json:"new_shard"`
-	Start        uint32 `json:"start"`
-	End          uint32 `json:"end"`
-	RowsMoved    int    `json:"rows_moved"`
-	TableVersion uint64 `json:"table_version"`
-}
-
 // Split splits the scoped shard (SetShard; default 0) online: the upper
 // half of its hash range moves to a freshly bootstrapped ring.
-func (c *Client) Split() (SplitResult, error) {
-	var out SplitResult
+func (c *Client) Split() (multiraft.SplitReport, error) {
+	var out multiraft.SplitReport
 	err := c.do(http.MethodPost, "/split", nil, &out)
 	return out, err
 }
 
 // Shards fetches the per-shard rollup.
-func (c *Client) Shards() ([]ShardRow, error) {
-	var rows []ShardRow
+func (c *Client) Shards() ([]multiraft.ShardStatus, error) {
+	var rows []multiraft.ShardStatus
 	err := c.do(http.MethodGet, "/shards", nil, &rows)
 	return rows, err
-}
-
-// ShardRow is one shard's line in the /shards rollup (the client-side
-// decoding of multiraft.ShardStatus).
-type ShardRow struct {
-	Shard        uint32 `json:"shard"`
-	Name         string `json:"name"`
-	Leader       string `json:"leader"`
-	Term         uint64 `json:"term"`
-	CommitIndex  uint64 `json:"commit_index"`
-	DurableIndex uint64 `json:"durable_index"`
-	PurgeFloor   uint64 `json:"purge_floor"`
 }
 
 // Balance triggers one leader-balancing pass and returns how many

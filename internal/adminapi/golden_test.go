@@ -10,34 +10,50 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"myraft/internal/cluster"
+	"myraft/internal/metrics"
+	"myraft/internal/multiraft"
+	"myraft/internal/transport"
 )
 
 // fillValue sets every field reachable from v to a distinct non-zero
-// value (pointers allocated, slices given one element), so marshalling
-// the result shows every key the type can emit, omitempty or not.
+// value (pointers allocated, slices and maps given one element), so
+// marshalling the result shows every key the type can emit, omitempty or
+// not. Interfaces (an error) stay nil.
 func fillValue(v reflect.Value, n *int) {
 	*n++
-	switch v.Kind() {
-	case reflect.Bool:
+	switch {
+	case v.Type() == reflect.TypeOf(time.Time{}):
+		v.Set(reflect.ValueOf(time.Unix(int64(*n), 0).UTC()))
+	case v.Kind() == reflect.Bool:
 		v.SetBool(true)
-	case reflect.Int, reflect.Int64:
+	case v.CanInt():
 		v.SetInt(int64(*n))
-	case reflect.Uint32, reflect.Uint64:
+	case v.CanUint():
 		v.SetUint(uint64(*n))
-	case reflect.Float64:
+	case v.Kind() == reflect.Float64:
 		v.SetFloat(float64(*n) + 0.5)
-	case reflect.String:
+	case v.Kind() == reflect.String:
 		v.SetString(fmt.Sprintf("s%d", *n))
-	case reflect.Ptr:
+	case v.Kind() == reflect.Ptr:
 		v.Set(reflect.New(v.Type().Elem()))
 		fillValue(v.Elem(), n)
-	case reflect.Slice:
+	case v.Kind() == reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
 		fillValue(v.Index(0), n)
-	case reflect.Struct:
+	case v.Kind() == reflect.Map:
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fillValue(k, n)
+		fillValue(e, n)
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(k, e)
+	case v.Kind() == reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			fillValue(v.Field(i), n)
 		}
+	case v.Kind() == reflect.Interface:
 	default:
 		panic("fillValue: unhandled kind " + v.Kind().String())
 	}
@@ -45,10 +61,13 @@ func fillValue(v reflect.Value, n *int) {
 
 // The two goldens were captured from the commit before the status blocks
 // moved onto mysql.PipelineStatus, mysql.ApplyStatus and
-// raft.SnapshotStats: the wire format of GET /status is whatever these
-// strings say, key names, order and omitempty behaviour included.
+// raft.SnapshotStats; only the durability block has changed since, when
+// it became raft.DurabilityStats. The wire format of GET /status is
+// whatever these strings say, key names, order and omitempty behaviour
+// included (the values are fillValue's numbering, rendered by each
+// field's own type).
 const (
-	goldenFullMember = `{"id":"s2","region":"s3","kind":"s4","down":true,"role":"s6","term":7,"leader":"s8","commit_index":9,"last_opid":"s10","first_index":11,"snapshot_anchor":"s12","lease_held":true,"lease_expiry":"s14","read_only":true,"gtid_executed":"s17","binlog_files":[{"name":"s20","size":21}],"binlog_bytes":22,"snapshots":{"installs":25,"chunks_sent":26,"bytes_sent":27,"failures":28},"durability":{"durable_index":31,"appended_index":32,"unsynced_bytes":33,"fsyncs":34,"fsync_batch_p50":35,"fsync_batch_p99":36,"fsync_batch_max":37,"append_durable_p50":"s38","append_durable_p99":"s39","loop_blocked":"s40"},"apply":{"running":true,"workers":44,"position":45,"commit_index":46,"lag":47,"busy_workers":48,"applied_txns":49,"tracked_txns":50,"conflict_fallbacks":51,"fallback_rate":52.5,"parallel_batches":53,"serial_batches":54,"last_error":"s55"},"pipeline":{"depth":58,"in_flight":59,"queue_len":60,"groups_proposed":61,"txns_committed":62,"txns_aborted":63,"group_size_mean":64,"group_size_p95":65,"group_size_max":66,"flush_busy_ns":67,"quorum_busy_ns":68,"engine_busy_ns":69,"syncs_coalesced":70,"engine_syncs":71,"engine_noop_syncs":72}}`
+	goldenFullMember = `{"id":"s2","region":"s3","kind":"s4","down":true,"role":"unknown","term":10,"leader":"s11","commit_index":12,"last_opid":"14.15","first_index":16,"snapshot_anchor":"18.19","lease_held":true,"lease_expiry":"1970-01-01T00:00:36Z","read_only":true,"gtid_executed":"s39","binlog_files":[{"name":"s42","size":45}],"binlog_bytes":46,"snapshots":{"installs":56,"chunks_sent":57,"bytes_sent":58,"failures":59},"durability":{"durable_index":62,"appended_index":63,"unsynced_bytes":64,"fsyncs":65,"fsync_batch":{"count":67,"min":68,"p50":69,"p95":70,"p99":71,"max":72,"mean":73},"append_durable":{"count":75,"min_ns":76,"p50_ns":77,"p95_ns":78,"p99_ns":79,"max_ns":80,"mean_ns":81},"loop_blocked_ns":82},"apply":{"running":true,"workers":87,"position":88,"commit_index":89,"lag":90,"busy_workers":91,"applied_txns":92,"tracked_txns":93,"conflict_fallbacks":94,"fallback_rate":95.5,"parallel_batches":96,"serial_batches":97,"last_error":"s98"},"pipeline":{"depth":101,"in_flight":102,"queue_len":103,"groups_proposed":104,"txns_committed":105,"txns_aborted":106,"group_size_mean":107,"group_size_p95":108,"group_size_max":109,"flush_busy_ns":110,"quorum_busy_ns":111,"engine_busy_ns":112,"syncs_coalesced":113,"engine_syncs":114,"engine_noop_syncs":115}}`
 	goldenZeroBlocks = `{"id":"","region":"","kind":"","down":false,"snapshots":{},"durability":{"durable_index":0,"appended_index":0,"unsynced_bytes":0,"fsyncs":0},"apply":{"running":false,"workers":0,"position":0,"commit_index":0,"lag":0},"pipeline":{"depth":0,"in_flight":0}}`
 )
 
@@ -70,7 +89,7 @@ func keyPaths(v any, prefix string, out map[string]bool) {
 }
 
 func TestStatusWireFormat(t *testing.T) {
-	var full MemberStatus
+	var full cluster.MemberStatus
 	n := 0
 	fillValue(reflect.ValueOf(&full).Elem(), &n)
 	got, err := json.Marshal(full)
@@ -82,7 +101,7 @@ func TestStatusWireFormat(t *testing.T) {
 	}
 
 	// Zero-valued blocks: which keys survive omitempty is wire format too.
-	var zero MemberStatus
+	var zero cluster.MemberStatus
 	for _, name := range []string{"Snapshots", "Durability", "Apply", "Pipeline"} {
 		f := reflect.ValueOf(&zero).Elem().FieldByName(name)
 		f.Set(reflect.New(f.Type().Elem()))
@@ -153,5 +172,75 @@ func TestLiveStatusKeysMatchGolden(t *testing.T) {
 	sort.Strings(missing)
 	if len(unknown) > 0 || len(missing) > 0 {
 		t.Fatalf("live /status keys drifted from the golden: unknown %v, missing %v", unknown, missing)
+	}
+}
+
+// Every gauge a member's or node's status publishes is declared by
+// exactly one `metric` tag, on the field that carries its value.
+func TestEachSignalDeclaredOnce(t *testing.T) {
+	var (
+		ms cluster.MemberStatus
+		ds transport.DemuxStats
+		sg multiraft.SyncGroupStats
+		n  int
+	)
+	for _, v := range []any{&ms, &ds, &sg} {
+		fillValue(reflect.ValueOf(v).Elem(), &n)
+	}
+	d, b, a, p := ms.Durability, ms.Binlog, ms.Apply, ms.Pipeline
+	want := map[string]int64{
+		"raft_term":                     int64(ms.Term),
+		"raft_commit_index":             int64(ms.CommitIndex),
+		"raft_first_index":              int64(ms.FirstIndex),
+		"raft_durable_index":            int64(d.DurableIndex),
+		"raft_appended_index":           int64(d.AppendedIndex),
+		"raft_unsynced_bytes":           d.UnsyncedBytes,
+		"raft_fsyncs":                   d.Fsyncs,
+		"raft_loop_blocked_ns":          int64(d.LoopBlocked),
+		"binlog_appends":                b.Appends,
+		"binlog_append_bytes":           b.AppendBytes,
+		"binlog_syncs":                  b.Syncs,
+		"binlog_noop_syncs":             b.NoopSyncs,
+		"apply_running":                 1,
+		"apply_workers":                 int64(a.Workers),
+		"apply_busy_workers":            int64(a.BusyWorkers),
+		"apply_position":                int64(a.Position),
+		"apply_lag":                     int64(a.Lag),
+		"apply_txns":                    a.AppliedTxns,
+		"apply_conflict_fallbacks":      a.ConflictFallbacks,
+		"apply_parallel_batches":        a.ParallelBatches,
+		"pipeline_depth":                int64(p.Depth),
+		"pipeline_inflight_groups":      int64(p.InFlight),
+		"pipeline_queue_len":            int64(p.QueueLen),
+		"pipeline_groups_proposed":      p.GroupsProposed,
+		"pipeline_txns_committed":       p.TxnsCommitted,
+		"pipeline_txns_aborted":         p.TxnsAborted,
+		"pipeline_group_size_mean":      p.GroupSizeMean,
+		"pipeline_group_size_p95":       p.GroupSizeP95,
+		"pipeline_group_size_max":       p.GroupSizeMax,
+		"pipeline_flush_busy_ns":        p.FlushBusyNs,
+		"pipeline_quorum_busy_ns":       p.QuorumBusyNs,
+		"pipeline_engine_busy_ns":       p.EngineBusyNs,
+		"pipeline_syncs_coalesced":      p.SyncsCoalesced,
+		"engine_syncs":                  p.EngineSyncs,
+		"engine_noop_syncs":             p.EngineNoopSyncs,
+		"multiraft_hb_coalesced_items":  ds.CoalescedItems,
+		"multiraft_shard_unknown_drops": ds.UnknownShardDrops,
+		"multiraft_fsync_requests":      sg.Requests,
+		"multiraft_fsync_physical":      sg.Syncs,
+	}
+	got := make(map[string][]int64)
+	for _, v := range []any{ms, ds, sg} {
+		metrics.Walk(v, func(name string, val int64) { got[name] = append(got[name], val) })
+	}
+	for name, w := range want {
+		if g := got[name]; len(g) != 1 || g[0] != w {
+			t.Errorf("%s: walked values %v, want exactly one %d", name, g, w)
+		}
+	}
+	for name, g := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: undeclared gauge walked (values %v)", name, g)
+		}
 	}
 }

@@ -7,7 +7,8 @@ package adminapi
 // labeled with the node, and every (shard, member) registry's
 // write-path stage histograms and raft/binlog/applier gauges labeled
 // with both dimensions. GET /trace returns the per-(shard, member)
-// stage summaries and slow-op journals as JSON for myraftctl top, and
+// stage summaries (metrics.Summary as it is) and slow-op journals as
+// JSON for myraftctl top, and
 // EnablePprof mounts the runtime profiler behind an explicit opt-in.
 
 import (
@@ -20,55 +21,27 @@ import (
 	"myraft/internal/trace"
 )
 
-// TraceStage is one write-path stage's latency summary. Durations are
-// integer nanoseconds: the payload is for tooling, not eyeballs.
-type TraceStage struct {
-	Count  int   `json:"count"`
-	MinNS  int64 `json:"min_ns"`
-	P50NS  int64 `json:"p50_ns"`
-	P95NS  int64 `json:"p95_ns"`
-	P99NS  int64 `json:"p99_ns"`
-	MaxNS  int64 `json:"max_ns"`
-	MeanNS int64 `json:"mean_ns"`
-}
-
 // TraceSlowOp is one journaled slow operation with its per-stage
 // breakdown (stages the operation never reached are absent).
 type TraceSlowOp struct {
-	Op      string           `json:"op,omitempty"`
-	Role    string           `json:"role"`
-	TotalNS int64            `json:"total_ns"`
-	At      string           `json:"at"`
-	Stages  map[string]int64 `json:"stages_ns"`
+	Op      string                   `json:"op,omitempty"`
+	Role    string                   `json:"role"`
+	TotalNS time.Duration            `json:"total_ns"`
+	At      time.Time                `json:"at"`
+	Stages  map[string]time.Duration `json:"stages_ns"`
 }
 
 // MemberTrace is one (shard, member) view in the GET /trace payload.
 type MemberTrace struct {
-	ID      string                `json:"id"`
-	Shard   string                `json:"shard,omitempty"`
-	Stages  map[string]TraceStage `json:"stages"`
-	SlowOps []TraceSlowOp         `json:"slow_ops,omitempty"`
+	ID      string                     `json:"id"`
+	Shard   string                     `json:"shard,omitempty"`
+	Stages  map[string]metrics.Summary `json:"stages"`
+	SlowOps []TraceSlowOp              `json:"slow_ops,omitempty"`
 }
 
 // TraceStatus is the GET /trace payload.
 type TraceStatus struct {
 	Members []MemberTrace `json:"members"`
-}
-
-func traceStages(sums map[trace.Stage]metrics.Summary) map[string]TraceStage {
-	out := make(map[string]TraceStage, len(sums))
-	for s, sum := range sums {
-		out[s.String()] = TraceStage{
-			Count:  sum.Count,
-			MinNS:  sum.Min.Nanoseconds(),
-			P50NS:  sum.Median.Nanoseconds(),
-			P95NS:  sum.P95.Nanoseconds(),
-			P99NS:  sum.P99.Nanoseconds(),
-			MaxNS:  sum.Max.Nanoseconds(),
-			MeanNS: sum.Mean.Nanoseconds(),
-		}
-	}
-	return out
 }
 
 func traceSlowOps(j *trace.Journal) []TraceSlowOp {
@@ -78,16 +51,12 @@ func traceSlowOps(j *trace.Journal) []TraceSlowOp {
 	ops := j.Top()
 	out := make([]TraceSlowOp, 0, len(ops))
 	for _, op := range ops {
-		stages := make(map[string]int64)
-		for name, d := range op.StageBreakdown() {
-			stages[name] = d.Nanoseconds()
-		}
 		out = append(out, TraceSlowOp{
 			Op:      op.Op,
 			Role:    op.Role,
-			TotalNS: op.Total.Nanoseconds(),
-			At:      op.At.Format(time.RFC3339Nano),
-			Stages:  stages,
+			TotalNS: op.Total,
+			At:      op.At,
+			Stages:  op.StageBreakdown(),
 		})
 	}
 	return out
@@ -95,9 +64,10 @@ func traceSlowOps(j *trace.Journal) []TraceSlowOp {
 
 // handleMetrics renders one exposition for the whole process: the
 // runtime registry under scope="runtime", each node's shared-resource
-// registry under node="<id>", and every up member's refreshed registry
-// under shard="<s>",member="<id>". Families stay properly named — the
-// dimensions live in labels, never in metric names.
+// registry under node="<id>", and every up member's registry, with its
+// status just published into it, under shard="<s>",member="<id>".
+// Families stay properly named — the dimensions live in labels, never in
+// metric names.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	groups := []metrics.LabeledRegistry{{
 		Labels: map[string]string{"scope": "runtime"},
@@ -127,10 +97,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		if mr.Tracer == nil {
 			continue
 		}
+		stages := make(map[string]metrics.Summary)
+		for s, sum := range mr.Tracer.StageSummaries() {
+			stages[s.String()] = sum
+		}
 		st.Members = append(st.Members, MemberTrace{
 			ID:      string(mr.ID),
 			Shard:   strconv.FormatUint(uint64(mr.Shard), 10),
-			Stages:  traceStages(mr.Tracer.StageSummaries()),
+			Stages:  stages,
 			SlowOps: traceSlowOps(mr.Tracer.Journal()),
 		})
 	}

@@ -44,9 +44,6 @@ type Options struct {
 	Dir string
 	// Persona selects binlog vs relay-log naming for new files.
 	Persona Persona
-	// SyncOnAppend fsyncs after every append. The commit pipeline
-	// normally leaves this false and calls Sync once per group.
-	SyncOnAppend bool
 }
 
 // indexFileName is the sidecar file listing log files in order, mirroring
@@ -55,10 +52,10 @@ const indexFileName = "log.index"
 
 // FileInfo describes one log file, as reported by SHOW BINARY LOGS.
 type FileInfo struct {
-	Name       string
-	FirstIndex uint64 // index of the first entry, 0 when the file has none
-	LastIndex  uint64 // index of the last entry, 0 when the file has none
-	Size       int64
+	Name       string `json:"name"`
+	FirstIndex uint64 `json:"-"` // index of the first entry, 0 when the file has none
+	LastIndex  uint64 `json:"-"` // index of the last entry, 0 when the file has none
+	Size       int64  `json:"size"`
 }
 
 // entryLoc records where an entry lives on disk.
@@ -82,7 +79,6 @@ type Log struct {
 	mu      sync.Mutex
 	dir     string
 	persona Persona
-	syncAll bool
 
 	files  []*logFile
 	active *logFile
@@ -122,16 +118,16 @@ const maxRetainedEncode = 1 << 20
 // Stats is a point-in-time snapshot of the log's lifetime I/O counters.
 type Stats struct {
 	// Appends is the number of entries appended since Open.
-	Appends int64
+	Appends int64 `json:"appends" metric:"binlog_appends"`
 	// AppendBytes is the encoded bytes appended since Open.
-	AppendBytes int64
+	AppendBytes int64 `json:"append_bytes" metric:"binlog_append_bytes"`
 	// Syncs counts fsyncs that reached the disk.
-	Syncs int64
+	Syncs int64 `json:"syncs" metric:"binlog_syncs"`
 	// NoopSyncs counts Sync calls coalesced into no-ops by group commit.
-	NoopSyncs int64
+	NoopSyncs int64 `json:"noop_syncs" metric:"binlog_noop_syncs"`
 	// FileReads counts Entry/Entries calls the in-memory tail could not
 	// serve, which read and decode the log files instead.
-	FileReads int64
+	FileReads int64 `json:"file_reads"`
 }
 
 // Stats returns the lifetime I/O counters.
@@ -170,7 +166,6 @@ func Open(opts Options) (*Log, error) {
 	l := &Log{
 		dir:     opts.Dir,
 		persona: opts.Persona,
-		syncAll: opts.SyncOnAppend,
 		gtids:   gtid.NewSet(),
 		offsets: make(map[uint64]entryLoc),
 		seq:     1,
@@ -545,11 +540,6 @@ func (l *Log) Append(e *Entry) error {
 		l.gtids.Add(e.GTID)
 	}
 	l.tail.push(e)
-	if l.syncAll {
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
-	}
 	if e.Type == EntryRotate {
 		return l.createFileLocked()
 	}

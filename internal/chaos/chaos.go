@@ -691,7 +691,7 @@ func (h *harness) sampleGTID(m member) {
 	if h.appliedEver[m.shard] == nil {
 		h.appliedEver[m.shard] = gtid.NewSet()
 	}
-	applied := srv.ApplierLastApplied()
+	applied := srv.ApplyStatus().Position
 	fresh := gtid.NewSet()
 	lg := srv.Log()
 	for idx := st.prevApplied + 1; idx <= applied; idx++ {

@@ -1,19 +1,93 @@
 package cluster
 
-// observability.go publishes each member's operational state into its
-// metrics registry at scrape time. The write-path stage histograms stream
-// into the registry continuously (internal/trace); everything else — raft
-// cursors, durability-pipeline counters, applier lag, binlog I/O totals —
-// is point-in-time state refreshed here, so a scrape always reflects the
-// member as it is now rather than as of some background tick.
+// observability.go assembles each member's status from its layers' own
+// snapshot types. That one value is what GET /status serves and what a
+// scrape publishes into the member's metrics registry (metrics.Walk over
+// its `metric` tags), so every signal is declared once, on the type that
+// owns it, and read at scrape time rather than as of a background tick.
+// The write-path stage histograms stream into the same registry
+// continuously (internal/trace).
 
 import (
 	"myraft/internal/binlog"
 	"myraft/internal/metrics"
+	"myraft/internal/mysql"
 	"myraft/internal/raft"
 	"myraft/internal/trace"
 	"myraft/internal/wire"
 )
+
+// MemberStatus is one member's externally visible state. Each block is
+// its layer's snapshot type; a block the member does not have (raft
+// state while down, applier and commit pipeline on a logtailer) is nil.
+type MemberStatus struct {
+	ID     wire.NodeID `json:"id"`
+	Region wire.Region `json:"region"`
+	Kind   string      `json:"kind"`
+	Down   bool        `json:"down"`
+	// Status is the raft node's state; its keys sit inline in the member.
+	*raft.Status
+	ReadOnly    *bool             `json:"read_only,omitempty"`
+	GTIDs       string            `json:"gtid_executed,omitempty"`
+	BinlogFiles []binlog.FileInfo `json:"binlog_files,omitempty"`
+	// BinlogBytes is the on-disk size of the member's binlog inventory,
+	// the number the purge coordinator exists to bound.
+	BinlogBytes int64 `json:"binlog_bytes,omitempty"`
+	// Binlog is the log's I/O counters, published as metrics only.
+	Binlog *binlog.Stats `json:"-"`
+	// Snapshots reports snapshot-transfer activity (leader-side chunks
+	// and bytes sent, follower-side installs) when any occurred.
+	Snapshots *raft.SnapshotStats `json:"snapshots,omitempty"`
+	// Durability reports the async log writer's pipeline state: how far
+	// fsync has progressed, how it is batching, and how far acks lag
+	// appends (§3.4 group commit observability).
+	Durability *raft.DurabilityStats `json:"durability,omitempty"`
+	// Apply reports the replica applier's progress and parallel-apply
+	// scheduling outcomes (§3.5): apply lag, worker occupancy, and how
+	// often writeset tracking fell back to serial ordering.
+	Apply *mysql.ApplyStatus `json:"apply,omitempty"`
+	// Pipeline reports the primary commit pipeline's overlap state
+	// (§3.4): in-flight groups, group-size distribution, per-stage busy
+	// time and engine sync coalescing.
+	Pipeline *mysql.PipelineStatus `json:"pipeline,omitempty"`
+}
+
+// Status snapshots the member across its layers.
+func (m *Member) Status() MemberStatus {
+	node, srv, tailer := m.node, m.server, m.tailer
+	ms := MemberStatus{ID: m.Spec.ID, Region: m.Spec.Region, Kind: "mysql", Down: m.down}
+	if m.Spec.Kind == KindLogtailer {
+		ms.Kind = "logtailer"
+	}
+	if node != nil {
+		st, ds := node.Status(), node.DurabilityStats()
+		ms.Status, ms.Durability = &st, &ds
+		if ss := node.SnapshotStats(); ss != (raft.SnapshotStats{}) {
+			ms.Snapshots = &ss
+		}
+	}
+	var log *binlog.Log
+	switch {
+	case srv != nil:
+		ro := srv.IsReadOnly()
+		ms.ReadOnly = &ro
+		ms.GTIDs = srv.GTIDExecuted().String()
+		as, ps := srv.ApplyStatus(), srv.PipelineStatus()
+		ms.Apply, ms.Pipeline = &as, &ps
+		ms.BinlogFiles = srv.BinlogFiles()
+		for _, f := range ms.BinlogFiles {
+			ms.BinlogBytes += f.Size
+		}
+		log = srv.Log()
+	case tailer != nil:
+		log = tailer.Log()
+	}
+	if log != nil {
+		ls := log.Stats()
+		ms.Binlog = &ls
+	}
+	return ms
+}
 
 // MemberRegistry is one up member's refreshed instrument registry, ready
 // for a Prometheus render under a member label.
@@ -23,9 +97,10 @@ type MemberRegistry struct {
 	Tracer *trace.Tracer
 }
 
-// MemberRegistries refreshes and returns the registries of every up
-// member, in spec order. Crashed members are skipped: their registries
-// (and trace histories) survive and reappear on restart.
+// MemberRegistries publishes every up member's status into its registry
+// and returns the registries, in spec order. Crashed members are
+// skipped: their registries (and trace histories) survive and reappear
+// on restart.
 func (c *Cluster) MemberRegistries() []MemberRegistry {
 	c.mu.RLock()
 	live := make([]*Member, 0, len(c.specs))
@@ -38,85 +113,16 @@ func (c *Cluster) MemberRegistries() []MemberRegistry {
 
 	out := make([]MemberRegistry, 0, len(live))
 	for _, m := range live {
-		m.refreshMetrics()
+		if st := m.Status(); st.Status != nil {
+			m.reg.Publish(st)
+			var leading int64
+			if st.Role == raft.RoleLeader {
+				leading = 1
+			}
+			m.reg.Gauge("raft_is_leader").Set(leading)
+			m.reg.Gauge("raft_last_index").Set(int64(st.LastOpID.Index))
+		}
 		out = append(out, MemberRegistry{ID: m.Spec.ID, Reg: m.reg, Tracer: m.tracer})
 	}
 	return out
-}
-
-// refreshMetrics publishes the member's current raft, durability, binlog,
-// and applier state as registry gauges. Totals that are semantically
-// counters are still exported as gauges: they are read off lower-layer
-// snapshots rather than incremented here, and a gauge render is honest
-// about that.
-func (m *Member) refreshMetrics() {
-	node, reg := m.node, m.reg
-	if node == nil || reg == nil {
-		return
-	}
-	st := node.Status()
-	reg.Gauge("raft_term").Set(int64(st.Term))
-	var leading int64
-	if st.Role == raft.RoleLeader {
-		leading = 1
-	}
-	reg.Gauge("raft_is_leader").Set(leading)
-	reg.Gauge("raft_commit_index").Set(int64(st.CommitIndex))
-	reg.Gauge("raft_last_index").Set(int64(st.LastOpID.Index))
-	reg.Gauge("raft_first_index").Set(int64(st.FirstIndex))
-
-	ds := node.DurabilityStats()
-	reg.Gauge("raft_durable_index").Set(int64(ds.DurableIndex))
-	reg.Gauge("raft_appended_index").Set(int64(ds.AppendedIndex))
-	reg.Gauge("raft_unsynced_bytes").Set(ds.UnsyncedBytes)
-	reg.Gauge("raft_fsyncs").Set(ds.Fsyncs)
-	reg.Gauge("raft_loop_blocked_ns").Set(int64(ds.LoopBlocked))
-
-	var log *binlog.Log
-	switch {
-	case m.server != nil:
-		log = m.server.Log()
-	case m.tailer != nil:
-		log = m.tailer.Log()
-	}
-	if log != nil {
-		ls := log.Stats()
-		reg.Gauge("binlog_appends").Set(ls.Appends)
-		reg.Gauge("binlog_append_bytes").Set(ls.AppendBytes)
-		reg.Gauge("binlog_syncs").Set(ls.Syncs)
-		reg.Gauge("binlog_noop_syncs").Set(ls.NoopSyncs)
-	}
-
-	if m.server != nil {
-		as := m.server.ApplyStatus()
-		var running int64
-		if as.Running {
-			running = 1
-		}
-		reg.Gauge("apply_running").Set(running)
-		reg.Gauge("apply_workers").Set(int64(as.Workers))
-		reg.Gauge("apply_busy_workers").Set(int64(as.BusyWorkers))
-		reg.Gauge("apply_position").Set(int64(as.Position))
-		reg.Gauge("apply_lag").Set(int64(as.Lag))
-		reg.Gauge("apply_txns").Set(as.AppliedTxns)
-		reg.Gauge("apply_conflict_fallbacks").Set(as.ConflictFallbacks)
-		reg.Gauge("apply_parallel_batches").Set(as.ParallelBatches)
-
-		ps := m.server.PipelineStatus()
-		reg.Gauge("pipeline_depth").Set(int64(ps.Depth))
-		reg.Gauge("pipeline_inflight_groups").Set(int64(ps.InFlight))
-		reg.Gauge("pipeline_queue_len").Set(int64(ps.QueueLen))
-		reg.Gauge("pipeline_groups_proposed").Set(ps.GroupsProposed)
-		reg.Gauge("pipeline_txns_committed").Set(ps.TxnsCommitted)
-		reg.Gauge("pipeline_txns_aborted").Set(ps.TxnsAborted)
-		reg.Gauge("pipeline_group_size_mean").Set(ps.GroupSizeMean)
-		reg.Gauge("pipeline_group_size_p95").Set(ps.GroupSizeP95)
-		reg.Gauge("pipeline_group_size_max").Set(ps.GroupSizeMax)
-		reg.Gauge("pipeline_flush_busy_ns").Set(ps.FlushBusyNs)
-		reg.Gauge("pipeline_quorum_busy_ns").Set(ps.QuorumBusyNs)
-		reg.Gauge("pipeline_engine_busy_ns").Set(ps.EngineBusyNs)
-		reg.Gauge("pipeline_syncs_coalesced").Set(ps.SyncsCoalesced)
-		reg.Gauge("engine_syncs").Set(ps.EngineSyncs)
-		reg.Gauge("engine_noop_syncs").Set(ps.EngineNoopSyncs)
-	}
 }

@@ -1,7 +1,8 @@
 // retention.go is the cluster purge coordinator of the bounded-log
-// lifecycle (§A.1): the leader periodically advances a cluster-wide purge
-// floor — the first log index every member is asked to retain — and
-// drives PURGE BINARY LOGS on every live member with it. The floor is
+// lifecycle (§A.1): each purge round (POST /purge, chaos ActPurge)
+// advances a cluster-wide purge floor — the first log index every member
+// is asked to retain — and drives PURGE BINARY LOGS on every live member
+// with it. The floor is
 // the minimum of what every healthy (up) member has durably replicated
 // and the retention budget below the log tail; members that are down, or
 // lagging beyond the budget, are sacrificed: they will catch up through
@@ -10,21 +11,9 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"myraft/internal/raft"
 )
-
-// RetentionOptions tunes the purge coordinator.
-type RetentionOptions struct {
-	// RetentionEntries is the history budget: the number of committed
-	// entries below the tail the cluster keeps for crashed or lagging
-	// members to replay. A member further behind than this is sacrificed
-	// to snapshot catch-up rather than holding history hostage.
-	RetentionEntries uint64
-	// Interval is the period of multiraft.Runtime.RunRetention (default 1s).
-	Interval time.Duration
-}
 
 // PurgeFloor returns the last cluster-wide purge floor the coordinator
 // drove (0 before the first purge round).

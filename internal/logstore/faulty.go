@@ -10,9 +10,9 @@ import (
 )
 
 // Faulty generalizes Delayed from fixed modeled latency to runtime-
-// mutable fault injection: stalls (a storage device that suddenly takes
-// hundreds of milliseconds per fsync, the blocked-fsync scenario of the
-// durability tests) and outright I/O errors (a dying disk; the log
+// mutable fsync fault injection: stalls (a storage device that suddenly
+// takes hundreds of milliseconds per fsync, the blocked-fsync scenario of
+// the durability tests) and outright I/O errors (a dying disk; the log
 // writer's sticky-error handling steps the leader down). The chaos
 // harness wires one around every member's log store and flips faults on
 // and off mid-run.
@@ -22,19 +22,14 @@ import (
 type Faulty struct {
 	inner Store
 
-	mu          sync.Mutex
-	appendDelay time.Duration
-	syncDelay   time.Duration
-	appendErr   error
-	syncErr     error
+	mu        sync.Mutex
+	syncDelay time.Duration
+	syncErr   error
 
-	syncs     int64
-	syncFails int64
-
-	// journal is a bounded trace of mutating operations (appends,
-	// truncations, injected failures) for post-mortem forensics: when a
-	// chaos run kills a log writer, the journal shows the exact operation
-	// sequence the store saw leading up to the failure.
+	// journal is a bounded trace of mutating operations (appends and
+	// truncations) for post-mortem forensics: when a chaos run kills a
+	// log writer, the journal shows the exact operation sequence the
+	// store saw leading up to the failure.
 	journal []string
 }
 
@@ -58,25 +53,10 @@ func (f *Faulty) Journal() []string {
 // NewFaulty wraps inner with a healthy (pass-through) fault injector.
 func NewFaulty(inner Store) *Faulty { return &Faulty{inner: inner} }
 
-// StallAppends makes every Append sleep d first (0 clears the stall).
-func (f *Faulty) StallAppends(d time.Duration) {
-	f.mu.Lock()
-	f.appendDelay = d
-	f.mu.Unlock()
-}
-
 // StallSyncs makes every Sync sleep d first (0 clears the stall).
 func (f *Faulty) StallSyncs(d time.Duration) {
 	f.mu.Lock()
 	f.syncDelay = d
-	f.mu.Unlock()
-}
-
-// FailAppends makes every Append return err without reaching the store
-// (nil clears the fault).
-func (f *Faulty) FailAppends(err error) {
-	f.mu.Lock()
-	f.appendErr = err
 	f.mu.Unlock()
 }
 
@@ -91,33 +71,12 @@ func (f *Faulty) FailSyncs(err error) {
 // Heal clears every stall and error.
 func (f *Faulty) Heal() {
 	f.mu.Lock()
-	f.appendDelay, f.syncDelay = 0, 0
-	f.appendErr, f.syncErr = nil, nil
+	f.syncDelay, f.syncErr = 0, nil
 	f.mu.Unlock()
 }
 
-// SyncCounts returns how many Syncs were attempted and how many were
-// failed by injection.
-func (f *Faulty) SyncCounts() (syncs, failed int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs, f.syncFails
-}
-
-// Append implements raft.LogStore with the configured append fault.
+// Append implements raft.LogStore, journaling the append.
 func (f *Faulty) Append(e *wire.LogEntry) error {
-	f.mu.Lock()
-	delay, err := f.appendDelay, f.appendErr
-	if err != nil {
-		f.noteLocked("append %d.%d -> injected %v", e.OpID.Term, e.OpID.Index, err)
-	}
-	f.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	if err != nil {
-		return err
-	}
 	aerr := f.inner.Append(e)
 	f.mu.Lock()
 	if aerr != nil {
@@ -133,10 +92,6 @@ func (f *Faulty) Append(e *wire.LogEntry) error {
 func (f *Faulty) Sync() error {
 	f.mu.Lock()
 	delay, err := f.syncDelay, f.syncErr
-	f.syncs++
-	if err != nil {
-		f.syncFails++
-	}
 	f.mu.Unlock()
 	if delay > 0 {
 		time.Sleep(delay)

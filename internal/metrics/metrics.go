@@ -165,15 +165,16 @@ func (h *Histogram) Max() time.Duration {
 	return h.samples[len(h.samples)-1]
 }
 
-// Summary is a point-in-time percentile digest of a histogram.
+// Summary is a point-in-time percentile digest of a histogram. Its JSON
+// form (integer nanoseconds) is the per-stage row of GET /trace.
 type Summary struct {
-	Count  int
-	Min    time.Duration
-	Median time.Duration
-	P95    time.Duration
-	P99    time.Duration
-	Max    time.Duration
-	Mean   time.Duration
+	Count  int           `json:"count"`
+	Min    time.Duration `json:"min_ns"`
+	Median time.Duration `json:"p50_ns"`
+	P95    time.Duration `json:"p95_ns"`
+	P99    time.Duration `json:"p99_ns"`
+	Max    time.Duration `json:"max_ns"`
+	Mean   time.Duration `json:"mean_ns"`
 }
 
 // Summarize returns the digest the paper's Table 2 reports (p99, p95,
@@ -253,13 +254,13 @@ func (h *IntHistogram) Count() int { return h.h.Count() }
 
 // IntSummary is a point-in-time percentile digest of an IntHistogram.
 type IntSummary struct {
-	Count  int
-	Min    int64
-	Median int64
-	P95    int64
-	P99    int64
-	Max    int64
-	Mean   int64
+	Count  int   `json:"count"`
+	Min    int64 `json:"min"`
+	Median int64 `json:"p50"`
+	P95    int64 `json:"p95"`
+	P99    int64 `json:"p99"`
+	Max    int64 `json:"max"`
+	Mean   int64 `json:"mean"`
 }
 
 // Summarize returns the percentile digest of the observed values.

@@ -7,6 +7,8 @@ package metrics
 // process without ad-hoc status structs.
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 )
@@ -139,4 +141,52 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Publish sets one gauge per `metric`-tagged field of v (see Walk): a
+// status type declares its signals once, in its tags, and a scrape
+// publishes the same value GET /status serves.
+func (r *Registry) Publish(v any) {
+	Walk(v, func(name string, val int64) { r.Gauge(name).Set(val) })
+}
+
+// Walk calls fn for every `metric:"<name>"`-tagged field reachable from
+// v through structs, embedded structs and non-nil pointers. Integers
+// are reported as they are, bools as 0/1 and durations in nanoseconds;
+// untagged struct fields are walked into and nil pointers skipped. A tag
+// on any other kind of field is a declaration bug and panics.
+func Walk(v any, fn func(name string, val int64)) { walk(reflect.ValueOf(v), fn) }
+
+func walk(v reflect.Value, fn func(string, int64)) {
+	for v.Kind() == reflect.Pointer {
+		if v.IsNil() {
+			return
+		}
+		v = v.Elem()
+	}
+	if v.Kind() != reflect.Struct {
+		return
+	}
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f, fv := t.Field(i), v.Field(i)
+		name := f.Tag.Get("metric")
+		switch {
+		case !f.IsExported():
+		case name == "":
+			walk(fv, fn)
+		case fv.Kind() == reflect.Bool:
+			var b int64
+			if fv.Bool() {
+				b = 1
+			}
+			fn(name, b)
+		case fv.CanInt():
+			fn(name, fv.Int())
+		case fv.CanUint():
+			fn(name, int64(fv.Uint()))
+		default:
+			panic(fmt.Sprintf("metrics: %s.%s is tagged %q but is a %s", t, f.Name, name, fv.Kind()))
+		}
+	}
 }

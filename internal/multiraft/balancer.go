@@ -10,7 +10,6 @@ package multiraft
 import (
 	"context"
 	"sort"
-	"time"
 
 	"myraft/internal/cluster"
 	"myraft/internal/wire"
@@ -110,19 +109,4 @@ func leastLoaded(voters []wire.NodeID, load map[wire.NodeID]int, exclude wire.No
 		}
 	}
 	return best
-}
-
-// RunBalancer runs balancing passes at the given interval until ctx is
-// done — the runtime's standing leader-placement loop.
-func (rt *Runtime) RunBalancer(ctx context.Context, interval time.Duration) {
-	tk := rt.clk.NewTicker(interval)
-	defer tk.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tk.C():
-			rt.BalanceOnce(ctx)
-		}
-	}
 }

@@ -109,7 +109,7 @@ type Runtime struct {
 	// taking its copy snapshot (see split.go).
 	gate writeGate
 
-	// splitMu serializes topology changes (AddShard/Split).
+	// splitMu serializes topology changes (addShard/Split).
 	splitMu sync.Mutex
 
 	staleRejects atomic.Int64
@@ -471,18 +471,15 @@ func (rt *Runtime) NodeRegistries() []NodeRegistry {
 		reg.Gauge("multiraft_leaders_held").Set(int64(len(byNode[id])))
 		if d := rt.demuxes[id]; d != nil {
 			st := d.Stats()
+			reg.Publish(st)
 			var flushes int64
 			for _, n := range st.CoalescedFlushes {
 				flushes += n
 			}
 			reg.Gauge("multiraft_hb_coalesced_flushes").Set(flushes)
-			reg.Gauge("multiraft_hb_coalesced_items").Set(st.CoalescedItems)
-			reg.Gauge("multiraft_shard_unknown_drops").Set(st.UnknownShardDrops)
 		}
 		if g := rt.syncs[id]; g != nil {
-			st := g.Stats()
-			reg.Gauge("multiraft_fsync_requests").Set(st.Requests)
-			reg.Gauge("multiraft_fsync_physical").Set(st.Syncs)
+			reg.Publish(g.Stats())
 		}
 		out = append(out, NodeRegistry{ID: id, Reg: reg})
 	}
@@ -535,30 +532,6 @@ func (rt *Runtime) UpNodes() []wire.NodeID {
 		}
 	}
 	return out
-}
-
-// RunRetention drives one snapshot/purge scheduler for the whole
-// process: a single goroutine round-robining the purge protocol over
-// every shard, instead of a timer per ring. Blocks until ctx is done.
-func (rt *Runtime) RunRetention(ctx context.Context, opts cluster.RetentionOptions) {
-	interval := opts.Interval
-	if interval == 0 {
-		interval = time.Second
-	}
-	tk := rt.clk.NewTicker(interval)
-	defer tk.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tk.C():
-			for _, c := range rt.shardList() {
-				// Purge errors (no leader mid-failover) are transient;
-				// the next round retries.
-				_, _ = c.PurgeOnce(opts.RetentionEntries)
-			}
-		}
-	}
 }
 
 // Close tears the whole process set down: every shard ring, then the

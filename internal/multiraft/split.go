@@ -8,7 +8,7 @@ package multiraft
 //
 // Protocol (DESIGN.md §11):
 //
-//  1. AddShard: build ring N over the existing demux/fsync groups and
+//  1. addShard: build ring N over the existing demux/fsync groups and
 //     bootstrap a leader on the least-loaded voter. The new ring owns no
 //     keys yet, so it serves no traffic.
 //  2. Fence (version V+1): the moved subrange keeps Shard: source so
@@ -69,17 +69,10 @@ type SplitReport struct {
 	Elapsed      time.Duration `json:"-"`
 }
 
-// AddShard builds and bootstraps one more ring over the shared per-node
+// addShard builds and bootstraps one more ring over the shared per-node
 // transports and fsync groups, returning its shard ID. The new shard
-// serves no keys until a table reload routes a range to it.
-func (rt *Runtime) AddShard(ctx context.Context) (wire.ShardID, error) {
-	rt.splitMu.Lock()
-	defer rt.splitMu.Unlock()
-	return rt.addShard(ctx)
-}
-
-// addShard is AddShard under an already-held splitMu (topology changes
-// are serialized).
+// serves no keys until a table reload routes a range to it. The caller
+// holds splitMu (topology changes are serialized).
 func (rt *Runtime) addShard(ctx context.Context) (wire.ShardID, error) {
 	rt.mu.RLock()
 	shard := wire.ShardID(len(rt.shards))

@@ -23,11 +23,11 @@ import (
 // SyncGroupStats snapshots one group's counters.
 type SyncGroupStats struct {
 	// Requests counts Sync calls from shard log writers.
-	Requests int64
+	Requests int64 `json:"requests" metric:"multiraft_fsync_requests"`
 	// Syncs counts physical Sync calls issued to stores. With one caller
 	// per store every request is its own physical sync, so
 	// Requests/Syncs reads 1.0.
-	Syncs int64
+	Syncs int64 `json:"syncs" metric:"multiraft_fsync_physical"`
 }
 
 // SyncGroup accounts for the fsyncs of every shard hosted on one node.

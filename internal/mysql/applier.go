@@ -164,17 +164,6 @@ func (a *applier) lastApplied() uint64 {
 	return a.applied
 }
 
-// lag reports how far apply trails the commit gate (commitIdx - applied),
-// the §3.5 number that bounds failover catch-up time.
-func (a *applier) lag() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.commitIdx <= a.applied {
-		return 0
-	}
-	return a.commitIdx - a.applied
-}
-
 // catchUpTo blocks until the applier has applied everything up to index
 // (promotion step 2, §3.3).
 func (a *applier) catchUpTo(ctx context.Context, index uint64) error {
@@ -409,13 +398,6 @@ func (a *applier) setErr(err error) {
 	a.mu.Unlock()
 }
 
-// LastError reports the most recent apply failure (nil when healthy).
-func (a *applier) LastError() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastErr
-}
-
 // applyEntry applies one relay-log transaction: RBR payload decoded, rows
 // staged, prepare, engine commit stamped with the entry's OpID. The
 // commit-marker gate already ran, so stage 2 of the replica pipeline is
@@ -487,33 +469,33 @@ func (a *applier) stagePrepare(e *binlog.Entry) (*storage.Txn, error) {
 // through Server.Status and adminapi /status.
 type ApplyStatus struct {
 	// Running reports whether the applier thread is active.
-	Running bool `json:"running"`
+	Running bool `json:"running" metric:"apply_running"`
 	// Workers is the configured apply concurrency (1 = serial).
-	Workers int `json:"workers"`
+	Workers int `json:"workers" metric:"apply_workers"`
 	// Position is the highest log index applied to the engine.
-	Position uint64 `json:"position"`
+	Position uint64 `json:"position" metric:"apply_position"`
 	// CommitIndex is the applier's view of the consensus commit gate.
 	CommitIndex uint64 `json:"commit_index"`
 	// Lag is CommitIndex - Position: committed transactions not yet
 	// applied (what a promotion would have to drain, §3.3 step 2).
-	Lag uint64 `json:"lag"`
+	Lag uint64 `json:"lag" metric:"apply_lag"`
 	// BusyWorkers is the number of workers currently staging a
 	// transaction (instantaneous occupancy).
-	BusyWorkers int `json:"busy_workers,omitempty"`
+	BusyWorkers int `json:"busy_workers,omitempty" metric:"apply_busy_workers"`
 	// AppliedTxns counts data transactions engine-committed by the
 	// applier since server start.
-	AppliedTxns int64 `json:"applied_txns,omitempty"`
+	AppliedTxns int64 `json:"applied_txns,omitempty" metric:"apply_txns"`
 	// TrackedTxns counts transactions routed through the writeset
 	// dependency tracker (parallel batches only).
 	TrackedTxns int64 `json:"tracked_txns,omitempty"`
 	// ConflictFallbacks counts tracked transactions that fell back to
 	// serial ordering (missing/oversized writeset or history overflow).
-	ConflictFallbacks int64 `json:"conflict_fallbacks,omitempty"`
+	ConflictFallbacks int64 `json:"conflict_fallbacks,omitempty" metric:"apply_conflict_fallbacks"`
 	// FallbackRate is ConflictFallbacks / TrackedTxns (0 when nothing was
 	// tracked).
 	FallbackRate float64 `json:"fallback_rate,omitempty"`
 	// ParallelBatches / SerialBatches count scheduling decisions.
-	ParallelBatches int64 `json:"parallel_batches,omitempty"`
+	ParallelBatches int64 `json:"parallel_batches,omitempty" metric:"apply_parallel_batches"`
 	SerialBatches   int64 `json:"serial_batches,omitempty"`
 	// LastError is the most recent apply failure ("" when healthy).
 	LastError string `json:"last_error,omitempty"`

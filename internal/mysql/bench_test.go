@@ -50,9 +50,9 @@ func benchFeed(b *testing.B, s *Server, f *fakeReplicator, n int) {
 	f.mu.Unlock()
 	f.release(uint64(n))
 	deadline := time.Now().Add(5 * time.Minute)
-	for s.ApplierLastApplied() < uint64(n) {
+	for s.ApplyStatus().Position < uint64(n) {
 		if time.Now().After(deadline) {
-			b.Fatalf("applier stalled at %d / %d", s.ApplierLastApplied(), n)
+			b.Fatalf("applier stalled at %d / %d", s.ApplyStatus().Position, n)
 		}
 		time.Sleep(time.Millisecond)
 	}

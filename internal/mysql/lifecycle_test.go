@@ -31,12 +31,12 @@ func waitApplied(t *testing.T, s *Server, index uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.ApplierLastApplied() >= index {
+		if s.ApplyStatus().Position >= index {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("applier never reached %d (at %d)", index, s.ApplierLastApplied())
+	t.Fatalf("applier never reached %d (at %d)", index, s.ApplyStatus().Position)
 }
 
 // TestPurgeLogsToGuardApplierPosition: a purge floor ahead of the
@@ -210,7 +210,7 @@ func TestApplierSkipsPurgedNonDataTail(t *testing.T) {
 	// OpID is 4. start() must reposition to 4, not spin on entry 4.
 	r.s.applier.stop()
 	r.s.applier.start()
-	if got := r.s.ApplierLastApplied(); got != 4 {
+	if got := r.s.ApplyStatus().Position; got != 4 {
 		t.Fatalf("applier restarted at %d, want 4 (skip over purged non-data tail)", got)
 	}
 
@@ -329,12 +329,12 @@ func TestInstallCheckpointReplacesState(t *testing.T) {
 	if got := r.s.GTIDExecuted().String(); got != gtids {
 		t.Fatalf("executed gtids = %q, want %q", got, gtids)
 	}
-	st := r.s.Status()
-	if !st.ApplierRunning {
+	st := r.s.ApplyStatus()
+	if !st.Running {
 		t.Fatal("applier not restarted after install")
 	}
-	if st.ApplierPosition != anchor.Index {
-		t.Fatalf("applier position = %d, want %d", st.ApplierPosition, anchor.Index)
+	if st.Position != anchor.Index {
+		t.Fatalf("applier position = %d, want %d", st.Position, anchor.Index)
 	}
 
 	// Replication resumes at anchor+1: feed and apply a post-anchor entry.

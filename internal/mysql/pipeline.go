@@ -486,38 +486,38 @@ func (p *pipeline) failErr() error {
 // Server.PipelineStatus and adminapi /status.
 type PipelineStatus struct {
 	// Depth is the configured in-flight group bound (1 = serial).
-	Depth int `json:"depth"`
+	Depth int `json:"depth" metric:"pipeline_depth"`
 	// InFlight is the number of groups currently proposed but not yet
 	// engine-committed (instantaneous occupancy, ≤ Depth).
-	InFlight int `json:"in_flight"`
+	InFlight int `json:"in_flight" metric:"pipeline_inflight_groups"`
 	// QueueLen is the number of client transactions waiting to be drained
 	// into a group.
-	QueueLen int `json:"queue_len,omitempty"`
+	QueueLen int `json:"queue_len,omitempty" metric:"pipeline_queue_len"`
 	// GroupsProposed counts groups flushed through ProposeTransactionBatch
 	// since server start.
-	GroupsProposed int64 `json:"groups_proposed,omitempty"`
+	GroupsProposed int64 `json:"groups_proposed,omitempty" metric:"pipeline_groups_proposed"`
 	// TxnsCommitted / TxnsAborted count pipeline outcomes.
-	TxnsCommitted int64 `json:"txns_committed,omitempty"`
-	TxnsAborted   int64 `json:"txns_aborted,omitempty"`
+	TxnsCommitted int64 `json:"txns_committed,omitempty" metric:"pipeline_txns_committed"`
+	TxnsAborted   int64 `json:"txns_aborted,omitempty" metric:"pipeline_txns_aborted"`
 	// GroupSizeMean / GroupSizeP95 / GroupSizeMax digest the group-size
 	// histogram (transactions per flushed group).
-	GroupSizeMean int64 `json:"group_size_mean,omitempty"`
-	GroupSizeP95  int64 `json:"group_size_p95,omitempty"`
-	GroupSizeMax  int64 `json:"group_size_max,omitempty"`
+	GroupSizeMean int64 `json:"group_size_mean,omitempty" metric:"pipeline_group_size_mean"`
+	GroupSizeP95  int64 `json:"group_size_p95,omitempty" metric:"pipeline_group_size_p95"`
+	GroupSizeMax  int64 `json:"group_size_max,omitempty" metric:"pipeline_group_size_max"`
 	// FlushBusyNs / QuorumBusyNs / EngineBusyNs are cumulative
 	// nanoseconds each goroutine spent occupied: the flusher assigning
 	// GTIDs and proposing (it never waits for a disk), the committer
 	// waiting for local durability and then the quorum, and the committer
 	// in engine commit.
-	FlushBusyNs  int64 `json:"flush_busy_ns,omitempty"`
-	QuorumBusyNs int64 `json:"quorum_busy_ns,omitempty"`
-	EngineBusyNs int64 `json:"engine_busy_ns,omitempty"`
+	FlushBusyNs  int64 `json:"flush_busy_ns,omitempty" metric:"pipeline_flush_busy_ns"`
+	QuorumBusyNs int64 `json:"quorum_busy_ns,omitempty" metric:"pipeline_quorum_busy_ns"`
+	EngineBusyNs int64 `json:"engine_busy_ns,omitempty" metric:"pipeline_engine_busy_ns"`
 	// SyncsCoalesced counts engine WAL syncs skipped because more groups
 	// were queued behind the committer; EngineSyncs / EngineNoopSyncs are
 	// the engine's own sync accounting (performed vs clean no-op).
-	SyncsCoalesced  int64 `json:"syncs_coalesced,omitempty"`
-	EngineSyncs     int64 `json:"engine_syncs,omitempty"`
-	EngineNoopSyncs int64 `json:"engine_noop_syncs,omitempty"`
+	SyncsCoalesced  int64 `json:"syncs_coalesced,omitempty" metric:"pipeline_syncs_coalesced"`
+	EngineSyncs     int64 `json:"engine_syncs,omitempty" metric:"engine_syncs"`
+	EngineNoopSyncs int64 `json:"engine_noop_syncs,omitempty" metric:"engine_noop_syncs"`
 }
 
 // status snapshots the pipeline's observable state.

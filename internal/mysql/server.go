@@ -490,56 +490,6 @@ func (s *Server) DemoteToReplica() error {
 // marker moves; it unblocks the applier (§3.5).
 func (s *Server) OnCommitAdvance(index uint64) { s.applier.notify(index) }
 
-// ApplierLastApplied reports the applier's progress (tests, monitoring).
-func (s *Server) ApplierLastApplied() uint64 { return s.applier.lastApplied() }
-
-// ReplicaStatus is the SHOW REPLICA STATUS analog: the externally visible
-// replication state of this server.
-type ReplicaStatus struct {
-	// ReadOnly reports whether client writes are rejected (replica mode).
-	ReadOnly bool
-	// Persona is the current log naming mode ("binlog" on a primary,
-	// "relaylog" on a replica).
-	Persona string
-	// ApplierRunning reports whether the applier thread is active.
-	ApplierRunning bool
-	// ApplierPosition is the highest log index applied to the engine.
-	ApplierPosition uint64
-	// ApplierError is the applier's most recent failure message, if any.
-	ApplierError string
-	// ApplierLag is the number of consensus-committed transactions the
-	// applier has not yet applied (commit index - applier position).
-	ApplierLag uint64
-	// EngineCommitted is the OpID of the last engine-committed
-	// transaction (the recovery cursor of §3.3 step 5).
-	EngineCommitted opid.OpID
-	// GTIDExecuted is the executed-GTID set in canonical text form.
-	GTIDExecuted string
-	// LogTail is the replicated log's tail OpID.
-	LogTail opid.OpID
-}
-
-// Status reports the server's replication status.
-func (s *Server) Status() ReplicaStatus {
-	st := ReplicaStatus{
-		ReadOnly:        s.IsReadOnly(),
-		Persona:         s.log.Persona().String(),
-		ApplierRunning:  s.applier.isRunning(),
-		ApplierPosition: s.applier.lastApplied(),
-		ApplierLag:      s.applier.lag(),
-		EngineCommitted: s.engine.LastCommitted(),
-		GTIDExecuted:    s.log.GTIDSet().String(),
-		LogTail:         s.log.LastOpID(),
-	}
-	if err := s.applier.LastError(); err != nil {
-		st.ApplierError = err.Error()
-	}
-	return st
-}
-
-// ApplierLastError reports the applier's most recent failure, if any.
-func (s *Server) ApplierLastError() error { return s.applier.LastError() }
-
 // ApplyStatus reports the parallel applier's detailed state: lag, worker
 // occupancy and conflict-fallback accounting (adminapi /status).
 func (s *Server) ApplyStatus() ApplyStatus { return s.applier.status() }

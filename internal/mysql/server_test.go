@@ -531,7 +531,7 @@ func TestApplierAppliesInOrder(t *testing.T) {
 	r.f.release(last.Index)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if r.s.ApplierLastApplied() >= last.Index {
+		if r.s.ApplyStatus().Position >= last.Index {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -690,26 +690,24 @@ func TestCrashedServerRejectsOperations(t *testing.T) {
 
 func TestReplicaStatusReflectsRole(t *testing.T) {
 	r := newReplica(t)
-	st := r.s.Status()
-	if !st.ReadOnly || st.Persona != "relaylog" || !st.ApplierRunning {
-		t.Fatalf("replica status = %+v", st)
+	if !r.s.IsReadOnly() || r.s.Log().Persona() != binlog.PersonaRelay || !r.s.ApplyStatus().Running {
+		t.Fatalf("replica: read-only %v, persona %v, apply %+v", r.s.IsReadOnly(), r.s.Log().Persona(), r.s.ApplyStatus())
 	}
 	// Feed + commit a transaction; the status advances.
 	op := r.feed(t, []storage.RowChange{{Key: "k", After: []byte("v")}})
 	r.f.release(op.Index)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if r.s.Status().ApplierPosition >= op.Index {
+		if r.s.ApplyStatus().Position >= op.Index {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st = r.s.Status()
-	if st.ApplierPosition < op.Index || st.EngineCommitted != op {
-		t.Fatalf("status after apply = %+v", st)
+	if st := r.s.ApplyStatus(); st.Position < op.Index || r.s.Engine().LastCommitted() != op {
+		t.Fatalf("status after apply = %+v, engine at %v", st, r.s.Engine().LastCommitted())
 	}
-	if st.GTIDExecuted == "" || st.LogTail != op {
-		t.Fatalf("status log info = %+v", st)
+	if r.s.GTIDExecuted().String() == "" || r.s.Log().LastOpID() != op {
+		t.Fatalf("log info: gtids %q, tail %v", r.s.GTIDExecuted(), r.s.Log().LastOpID())
 	}
 
 	// Promote: persona flips, applier stops, writes open.
@@ -726,9 +724,8 @@ func TestReplicaStatusReflectsRole(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.s.EnableWrites()
-	st = r.s.Status()
-	if st.ReadOnly || st.Persona != "binlog" || st.ApplierRunning {
-		t.Fatalf("primary status = %+v", st)
+	if r.s.IsReadOnly() || r.s.Log().Persona() != binlog.PersonaBinlog || r.s.ApplyStatus().Running {
+		t.Fatalf("primary: read-only %v, persona %v, apply %+v", r.s.IsReadOnly(), r.s.Log().Persona(), r.s.ApplyStatus())
 	}
 }
 

@@ -34,3 +34,14 @@ func (o OpID) AtLeast(other OpID) bool { return !o.Less(other) }
 
 // String renders "term.index".
 func (o OpID) String() string { return fmt.Sprintf("%d.%d", o.Term, o.Index) }
+
+// MarshalText renders "term.index", the form status JSON carries.
+func (o OpID) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
+// UnmarshalText parses the "term.index" form of MarshalText.
+func (o *OpID) UnmarshalText(b []byte) error {
+	if _, err := fmt.Sscanf(string(b), "%d.%d", &o.Term, &o.Index); err != nil {
+		return fmt.Errorf("opid: parse %q: %w", b, err)
+	}
+	return nil
+}

@@ -257,9 +257,8 @@ func TestSingleNodePromotionAndWrites(t *testing.T) {
 	if node.Status().LastOpID.Index < op.Index {
 		t.Fatal("raft log behind")
 	}
-	st := srv.Status()
-	if st.ReadOnly || st.Persona != "binlog" {
-		t.Fatalf("status = %+v", st)
+	if srv.IsReadOnly() || srv.Log().Persona() != binlog.PersonaBinlog {
+		t.Fatalf("read-only %v, persona %v", srv.IsReadOnly(), srv.Log().Persona())
 	}
 }
 

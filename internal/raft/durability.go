@@ -70,22 +70,22 @@ func newDurMetrics() *durMetrics {
 // surfaced through adminapi /status and the experiment harness.
 type DurabilityStats struct {
 	// DurableIndex is the highest index covered by a completed fsync.
-	DurableIndex uint64
+	DurableIndex uint64 `json:"durable_index" metric:"raft_durable_index"`
 	// AppendedIndex is the highest index handed to the LogStore.
-	AppendedIndex uint64
+	AppendedIndex uint64 `json:"appended_index" metric:"raft_appended_index"`
 	// UnsyncedBytes is the current backpressure debt.
-	UnsyncedBytes int64
+	UnsyncedBytes int64 `json:"unsynced_bytes" metric:"raft_unsynced_bytes"`
 	// Fsyncs counts completed group fsyncs.
-	Fsyncs int64
+	Fsyncs int64 `json:"fsyncs" metric:"raft_fsyncs"`
 	// FsyncBatch summarizes entries covered per fsync.
-	FsyncBatch metrics.IntSummary
+	FsyncBatch metrics.IntSummary `json:"fsync_batch,omitzero"`
 	// AppendDurable summarizes enqueue→durable latency.
-	AppendDurable metrics.Summary
+	AppendDurable metrics.Summary `json:"append_durable,omitzero"`
 	// LoopBlocked is total event-loop time spent blocked on the writer.
-	LoopBlocked time.Duration
+	LoopBlocked time.Duration `json:"loop_blocked_ns,omitempty" metric:"raft_loop_blocked_ns"`
 	// Err is the writer's sticky I/O error, nil while healthy. Once set
 	// the node cannot ack anything again until restarted.
-	Err error
+	Err error `json:"-"`
 }
 
 // queuedAppend is one entry waiting in the writer's queue.

@@ -48,6 +48,20 @@ func (r Role) String() string {
 	}
 }
 
+// MarshalText renders the role by name, the form status JSON carries.
+func (r Role) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText parses a role name written by MarshalText.
+func (r *Role) UnmarshalText(b []byte) error {
+	for c := RoleFollower; c <= RoleLeader; c++ {
+		if c.String() == string(b) {
+			*r = c
+			return nil
+		}
+	}
+	return fmt.Errorf("raft: unknown role %q", b)
+}
+
 // Errors returned by the public API.
 var (
 	// ErrNotLeader rejects proposals and admin operations on non-leaders.
@@ -387,35 +401,37 @@ func (c Config) Scale(f float64) Config {
 	return c
 }
 
-// Status is a point-in-time snapshot of node state.
+// Status is a point-in-time snapshot of node state. Its JSON keys are
+// the raft half of an adminapi member status and its metric tags name
+// the member's raft gauges; the fields tagged "-" stay off the wire.
 type Status struct {
-	ID          wire.NodeID
-	Role        Role
-	Term        uint64
-	Leader      wire.NodeID
-	LastOpID    opid.OpID
-	CommitIndex uint64
+	ID          wire.NodeID `json:"-"`
+	Role        Role        `json:"role"`
+	Term        uint64      `json:"term,omitempty" metric:"raft_term"`
+	Leader      wire.NodeID `json:"leader,omitempty"`
+	CommitIndex uint64      `json:"commit_index,omitempty" metric:"raft_commit_index"`
+	LastOpID    opid.OpID   `json:"last_opid"`
 	// FirstIndex is the lowest log index still retained (0 when the log
 	// holds no entries, e.g. right after a snapshot install).
-	FirstIndex uint64
+	FirstIndex uint64 `json:"first_index,omitempty" metric:"raft_first_index"`
 	// SnapshotAnchor is the op the log was last reset to by a snapshot
 	// install (zero when none). The log logically starts just above it.
-	SnapshotAnchor opid.OpID
+	SnapshotAnchor opid.OpID `json:"snapshot_anchor,omitzero"`
 	// DurableIndex is the highest locally fsynced log index — this node's
 	// own gated vote toward commit (durability.go). It can trail LastOpID
 	// while appends sit in the log writer's queue.
-	DurableIndex uint64
-	Config       wire.Config
+	DurableIndex uint64      `json:"-"`
+	Config       wire.Config `json:"-"`
 	// Match maps peers to their replicated index (leader only).
-	Match map[wire.NodeID]uint64
+	Match map[wire.NodeID]uint64 `json:"-"`
 	// RegionWatermarks is the per-region replication watermark
 	// (leader only, §4.1/§A.1).
-	RegionWatermarks map[wire.Region]uint64
+	RegionWatermarks map[wire.Region]uint64 `json:"-"`
 	// Transferring reports an in-flight graceful transfer.
-	Transferring bool
+	Transferring bool `json:"-"`
 	// LeaseHeld reports a currently valid leader lease (leader only).
-	LeaseHeld bool
+	LeaseHeld bool `json:"lease_held,omitempty"`
 	// LeaseExpiry is when the lease lapses (leader only; zero when the
 	// lease has never been granted this term).
-	LeaseExpiry time.Time
+	LeaseExpiry time.Time `json:"lease_expiry,omitzero"`
 }

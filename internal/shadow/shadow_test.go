@@ -113,7 +113,7 @@ func TestFailureInjectionSoak(t *testing.T) {
 				t.Logf("%s: role=%v term=%d commit=%d last=%v", m.Spec.ID, st.Role, st.Term, st.CommitIndex, st.LastOpID)
 				if m.Server() != nil {
 					t.Logf("  applier applied=%d err=%v readonly=%v engine=%v",
-						m.Server().ApplierLastApplied(), m.Server().ApplierLastError(),
+						m.Server().ApplyStatus().Position, m.Server().ApplyStatus().LastError,
 						m.Server().IsReadOnly(), m.Server().Engine().LastCommitted())
 				}
 			}

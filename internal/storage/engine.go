@@ -40,6 +40,19 @@ var ErrTxnFinished = errors.New("storage: transaction already finished")
 // ErrClosed is returned by operations on a closed or crashed engine.
 var ErrClosed = errors.New("storage: engine closed")
 
+// ErrCorrupt reports a damaged WAL record that is not a torn tail: a
+// decodable record follows it, so recovering up to the damage would drop
+// transactions that may have been synced and acked.
+type ErrCorrupt struct {
+	File   string
+	Offset int64
+	Reason string
+}
+
+func (e *ErrCorrupt) Error() string {
+	return fmt.Sprintf("storage: corrupt wal record in %s at offset %d: %s", e.File, e.Offset, e.Reason)
+}
+
 // Options configures an Engine.
 type Options struct {
 	// Dir holds the engine WAL.
@@ -101,7 +114,11 @@ type rowLock struct {
 // Open opens (or creates) an engine in dir, replaying the WAL. Prepared
 // but uncommitted transactions found in the WAL are rolled back, which is
 // exactly MySQL's behaviour in the paper's recovery cases 1–3 (§A.2): the
-// applier later re-applies anything that was consensus committed.
+// applier later re-applies anything that was consensus committed. A
+// damaged final record (a torn write) is truncated away before the WAL
+// is reopened for appends; a damaged record followed by a decodable one
+// is corruption, and Open returns an *ErrCorrupt without changing the
+// file.
 func Open(opts Options) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
@@ -132,7 +149,7 @@ func Open(opts Options) (*Engine, error) {
 
 // recover replays the WAL: committed transactions are applied in order;
 // prepared transactions without a commit record are discarded (rolled
-// back). Torn tail records are ignored.
+// back). A torn tail is truncated; see Open for corruption.
 func (e *Engine) recover() error {
 	data, err := os.ReadFile(e.walPath)
 	if errors.Is(err, os.ErrNotExist) {
@@ -142,12 +159,19 @@ func (e *Engine) recover() error {
 		return fmt.Errorf("storage: read wal: %w", err)
 	}
 	pending := make(map[uint64][]RowChange)
-	for len(data) > 0 {
-		rec, rest, ok := decodeWALRecord(data)
+	for pos := 0; pos < len(data); {
+		rec, rest, ok := decodeWALRecord(data[pos:])
 		if !ok {
-			break // torn tail
+			if next := nextWALRecordAfter(data, pos); next >= 0 {
+				return &ErrCorrupt{File: e.walPath, Offset: int64(pos),
+					Reason: fmt.Sprintf("damaged record followed by a record at offset %d", next)}
+			}
+			if err := os.Truncate(e.walPath, int64(pos)); err != nil {
+				return fmt.Errorf("storage: trim torn wal tail: %w", err)
+			}
+			break
 		}
-		data = rest
+		pos = len(data) - len(rest)
 		switch rec.typ {
 		case walPrepare:
 			pending[rec.txnID] = rec.changes
@@ -176,6 +200,17 @@ func (e *Engine) recover() error {
 	// restart; we compact instead by rewriting nothing (the next commit
 	// cycle supersedes).
 	return nil
+}
+
+// nextWALRecordAfter returns the offset of the first decodable record
+// that starts after pos, or -1 when none does.
+func nextWALRecordAfter(data []byte, pos int) int {
+	for p := pos + 1; p < len(data); p++ {
+		if _, _, ok := decodeWALRecord(data[p:]); ok {
+			return p
+		}
+	}
+	return -1
 }
 
 type walRecord struct {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -580,6 +582,9 @@ func TestDecodeChangesErrors(t *testing.T) {
 		{0, 0, 0, 2, 0, 0, 0, 1, 'x'}, // truncated
 		append(EncodeChanges([]RowChange{{Key: "a"}}), 0xff), // trailing bytes
 		{0xff, 0xff, 0xff, 0xff},                             // absurd count
+		// a nil marker where a key goes: no encoder writes one, and it
+		// would decode to "" and re-encode differently
+		{0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
 	} {
 		if _, err := DecodeChanges(bad); err == nil {
 			t.Errorf("DecodeChanges(%v) succeeded", bad)
@@ -659,5 +664,89 @@ func TestSyncDirtyTrackingCoalesces(t *testing.T) {
 	}
 	if s, _ := e.SyncStats(); s != 2 {
 		t.Fatalf("sync after FlushWAL performed %d fsyncs, want 2", s)
+	}
+}
+
+// A torn record at the WAL's end is cut off at Open, so records committed
+// after the reopen follow the last good record and survive the next
+// recovery instead of hiding behind the damage.
+func TestRecoveryTrimsTornTailBeforeAppending(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir)
+	mustCommit(t, e, opid.OpID{Term: 1, Index: 1}, map[string]string{"a": "1"})
+	e.Close()
+
+	torn := encodeWALRecord(&walRecord{typ: walPrepare, txnID: 9, changes: []RowChange{{Key: "t", After: []byte("x")}}})[:7]
+	f, err := os.OpenFile(filepath.Join(dir, "engine.wal"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	e2 := openTestEngine(t, dir)
+	mustCommit(t, e2, opid.OpID{Term: 1, Index: 2}, map[string]string{"b": "2"})
+	e2.Close()
+
+	e3 := openTestEngine(t, dir)
+	if v, ok := e3.Get("b"); !ok || string(v) != "2" {
+		t.Fatalf("row committed after the torn tail: %q %v", v, ok)
+	}
+	if got, want := e3.LastCommitted(), (opid.OpID{Term: 1, Index: 2}); got != want {
+		t.Fatalf("LastCommitted = %v, want %v", got, want)
+	}
+}
+
+// A damaged record with a decodable record after it is not a torn tail:
+// Open refuses with an ErrCorrupt naming the file and the record's offset
+// instead of recovering a shorter state, and leaves the WAL as it was.
+func TestRecoveryRefusesCorruptRecordBeforeGoodOnes(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEngine(t, dir)
+	mustCommit(t, e, opid.OpID{Term: 1, Index: 1}, map[string]string{"a": "1"})
+	mustCommit(t, e, opid.OpID{Term: 1, Index: 2}, map[string]string{"b": "2"})
+	e.Close()
+
+	path := filepath.Join(dir, "engine.wal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four records: prepare/commit of each transaction. Flip a byte
+	// inside the second.
+	var offsets []int
+	for rest := data; len(rest) > 0; {
+		offsets = append(offsets, len(data)-len(rest))
+		_, next, ok := decodeWALRecord(rest)
+		if !ok {
+			t.Fatalf("fixture WAL does not decode at offset %d", len(data)-len(rest))
+		}
+		rest = next
+	}
+	if len(offsets) != 4 {
+		t.Fatalf("fixture WAL has %d records, want 4", len(offsets))
+	}
+	data[offsets[1]+6] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if e2, err := Open(Options{Dir: dir}); err == nil {
+		e2.Close()
+		t.Fatalf("Open succeeded over a corrupt record (LastCommitted %v)", e2.LastCommitted())
+	} else {
+		var ce *ErrCorrupt
+		if !errors.As(err, &ce) || ce.File != path || ce.Offset != int64(offsets[1]) {
+			t.Fatalf("Open error = %v, want ErrCorrupt in %s at offset %d", err, path, offsets[1])
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatal("refused Open changed the WAL on disk")
 	}
 }

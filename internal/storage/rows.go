@@ -116,6 +116,9 @@ func decodeChangeList(data []byte) ([]RowChange, error) {
 		if key, data, err = readBytes(data); err != nil {
 			return nil, err
 		}
+		if key == nil {
+			return nil, fmt.Errorf("storage: change %d has a nil key marker", i)
+		}
 		if before, data, err = readBytes(data); err != nil {
 			return nil, err
 		}

@@ -53,22 +53,22 @@ type DemuxStats struct {
 	// CoalescedFlushes counts physical CoalescedHeartbeat messages sent,
 	// per destination peer — the coalescing test asserts this grows by one
 	// per peer per interval no matter how many shards are hosted.
-	CoalescedFlushes map[wire.NodeID]int64
+	CoalescedFlushes map[wire.NodeID]int64 `json:"coalesced_flushes"`
 	// CoalescedItems counts shard heartbeats carried inside those messages
 	// (the fan-out numerator: items/flushes = shards piggybacked per send).
-	CoalescedItems int64
+	CoalescedItems int64 `json:"coalesced_items" metric:"multiraft_hb_coalesced_items"`
 	// CoalescedRecvs counts CoalescedHeartbeat messages received.
-	CoalescedRecvs int64
+	CoalescedRecvs int64 `json:"coalesced_recvs"`
 	// DirectSends counts non-coalesced messages sent in ShardEnvelopes.
-	DirectSends int64
+	DirectSends int64 `json:"direct_sends"`
 	// UnknownShardDrops counts inbound messages addressed to a shard this
 	// node does not host — any nonzero value means cross-shard leakage.
-	UnknownShardDrops int64
+	UnknownShardDrops int64 `json:"unknown_shard_drops" metric:"multiraft_shard_unknown_drops"`
 	// DecodeDrops counts inbound envelopes whose inner bytes failed to
 	// parse, and stray messages that were not shard-framed at all.
-	DecodeDrops int64
+	DecodeDrops int64 `json:"decode_drops"`
 	// InboxDrops counts messages lost to a full shard port.
-	InboxDrops int64
+	InboxDrops int64 `json:"inbox_drops"`
 }
 
 // Demux multiplexes every shard hosted by one node over that node's

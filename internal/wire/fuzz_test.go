@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -35,6 +36,38 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if m.EncodedSize() != len(out) {
 			t.Fatalf("%T: EncodedSize %d, Marshal wrote %d", m, m.EncodedSize(), len(out))
+		}
+	})
+}
+
+// FuzzDecodeConfig feeds DecodeConfig arbitrary bytes, as config entries
+// and InstallSnapshot messages arriving over the network can carry.
+// Decoding never panics, and whatever decodes is a fixed point of
+// decode → EncodeConfig → decode.
+func FuzzDecodeConfig(f *testing.F) {
+	for _, c := range []Config{
+		{},
+		{Members: []Member{{ID: "n1", Region: "r1", Voter: true}}},
+		{Members: []Member{
+			{ID: "mysql-0", Region: "region-0", Voter: true},
+			{ID: "lt-0-0", Region: "region-0", Voter: true, Witness: true},
+			{ID: "mysql-9", Region: "region-1"},
+		}},
+	} {
+		f.Add(EncodeConfig(c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeConfig(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeConfig(c)
+		again, err := DecodeConfig(enc)
+		if err != nil {
+			t.Fatalf("re-encoded config does not decode: %v\n in %x\nout %x", err, data, enc)
+		}
+		if !reflect.DeepEqual(again, c) || !bytes.Equal(EncodeConfig(again), enc) {
+			t.Fatalf("decode → EncodeConfig → decode is not a fixed point:\n in %x\nout %x", data, enc)
 		}
 	})
 }

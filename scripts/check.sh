@@ -136,14 +136,16 @@ stage_spec() {
 		# Decoders of bytes read back from disk or the network: the binlog
 		# entry decoder (recovery and every in-memory-tail miss), the
 		# transaction payload decoders the applier runs on every entry, the
-		# engine WAL record decoder engine recovery runs, and the wire
-		# decoder every received message goes through.
+		# engine WAL record decoder engine recovery runs, the wire decoder
+		# every received message goes through, and the config decoder for
+		# config entries and InstallSnapshot messages.
 		cat <<-EOF
 		fuzz:./internal/binlog=FuzzReadEntryAt
 		fuzz:./internal/storage=FuzzDecodeChanges
 		fuzz:./internal/storage=FuzzDecodeTxnPayload
 		fuzz:./internal/storage=FuzzDecodeWALRecord
 		fuzz:./internal/wire=FuzzUnmarshal
+		fuzz:./internal/wire=FuzzDecodeConfig
 		EOF
 		;;
 	compaction)
