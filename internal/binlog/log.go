@@ -65,12 +65,53 @@ type entryLoc struct {
 	length int64
 }
 
-// logFile is the in-memory bookkeeping for one on-disk file.
+// logFile is the in-memory bookkeeping for one on-disk file. Its entries
+// are the contiguous run firstIndex..lastIndex (none when firstIndex is
+// 0), laid out back to back up to size.
 type logFile struct {
 	name       string
 	firstIndex uint64
 	lastIndex  uint64
 	size       int64
+	// starts is the entry index: entry firstIndex+i begins at starts[i]
+	// and ends where the next begins, the last one at size. It holds no
+	// pointers, so the garbage collector never scans it.
+	starts []int64
+}
+
+// push records an entry of n bytes written at the end of the file.
+func (f *logFile) push(index uint64, n int64) {
+	if f.firstIndex == 0 {
+		f.firstIndex = index
+	}
+	f.lastIndex = index
+	f.starts = append(f.starts, f.size)
+	f.size += n
+}
+
+// end returns the offset just past entry index, which the file holds.
+func (f *logFile) end(index uint64) int64 {
+	if next := index - f.firstIndex + 1; next < uint64(len(f.starts)) {
+		return f.starts[next]
+	}
+	return f.size
+}
+
+// locateLocked finds the file and byte range of the entry at index. The
+// newest files hold the entries read most, so the search runs backwards.
+func (l *Log) locateLocked(index uint64) (entryLoc, bool) {
+	for i := len(l.files) - 1; i >= 0; i-- {
+		f := l.files[i]
+		if f.firstIndex == 0 || index < f.firstIndex {
+			continue
+		}
+		if index > f.lastIndex {
+			break
+		}
+		start := f.starts[index-f.firstIndex]
+		return entryLoc{file: f, offset: start, length: f.end(index) - start}, true
+	}
+	return entryLoc{}, false
 }
 
 // Log is a file-backed replicated-log store. All methods are safe for
@@ -89,8 +130,7 @@ type Log struct {
 	lastOpID   opid.OpID
 	anchor     opid.OpID // snapshot anchor set by ResetTo; Zero when none
 	gtids      *gtid.Set // GTIDs of every entry ever appended (incl. purged)
-	offsets    map[uint64]entryLoc
-	seq        int // sequence number of the next file to create
+	seq        int       // sequence number of the next file to create
 
 	dirty    bool  // writes since the last successful fsync
 	unsynced int64 // bytes appended since the last successful fsync
@@ -167,7 +207,6 @@ func Open(opts Options) (*Log, error) {
 		dir:     opts.Dir,
 		persona: opts.Persona,
 		gtids:   gtid.NewSet(),
-		offsets: make(map[uint64]entryLoc),
 		seq:     1,
 	}
 	names, err := l.readIndexFile()
@@ -268,11 +307,12 @@ func (l *Log) writeIndexFileLocked() error {
 	return nil
 }
 
-// recoverFile scans one file, rebuilding offsets, GTIDs and the tail
-// position. The scan stops at the first record that does not decode. If a
-// decodable entry follows it, that is corruption and the error; otherwise
-// the record is returned as damaged, a torn tail only if the file turns
-// out to be the active one (Open decides).
+// recoverFile scans one file, rebuilding its entry index, the GTIDs and
+// the tail position. The scan stops at the first record that does not
+// decode. If a decodable entry follows it, that is corruption and the
+// error; otherwise the record is returned as damaged, a torn tail only if
+// the file turns out to be the active one (Open decides). Either way the
+// error names the first index recovery could not read.
 func (l *Log) recoverFile(name string) (damaged *ErrCorrupt, err error) {
 	path := filepath.Join(l.dir, name)
 	data, err := os.ReadFile(path)
@@ -324,20 +364,19 @@ func (l *Log) recoverFile(name string) (damaged *ErrCorrupt, err error) {
 	lf.size = pos
 	for {
 		entry, n, err := readEntryAt(data, pos, name)
+		if err == nil && entry != nil && lf.firstIndex != 0 && entry.OpID.Index != lf.lastIndex+1 {
+			err = &ErrCorrupt{Reason: "entry index out of sequence"}
+		}
 		if err != nil || entry == nil {
-			damaged = &ErrCorrupt{File: name, Offset: pos, Reason: "truncated record"}
+			damaged = &ErrCorrupt{File: name, Offset: pos, Reason: "truncated record",
+				Index: max(l.lastOpID.Index, l.anchor.Index) + 1}
 			var ce *ErrCorrupt
 			if errors.As(err, &ce) {
 				damaged.Reason = ce.Reason
 			}
 			break
 		}
-		loc := entryLoc{file: lf, offset: pos, length: n}
-		l.offsets[entry.OpID.Index] = loc
-		if lf.firstIndex == 0 {
-			lf.firstIndex = entry.OpID.Index
-		}
-		lf.lastIndex = entry.OpID.Index
+		lf.push(entry.OpID.Index, n)
 		if l.firstIndex == 0 {
 			l.firstIndex = entry.OpID.Index
 		}
@@ -346,7 +385,6 @@ func (l *Log) recoverFile(name string) (damaged *ErrCorrupt, err error) {
 			l.gtids.Add(entry.GTID)
 		}
 		pos += n
-		lf.size = pos
 	}
 	l.files = append(l.files, lf)
 	if pos == int64(len(data)) {
@@ -526,12 +564,7 @@ func (l *Log) Append(e *Entry) error {
 	l.unsynced += int64(len(buf))
 	l.statAppends++
 	l.statAppendBytes += int64(len(buf))
-	l.offsets[e.OpID.Index] = entryLoc{file: l.active, offset: l.active.size, length: int64(len(buf))}
-	if l.active.firstIndex == 0 {
-		l.active.firstIndex = e.OpID.Index
-	}
-	l.active.lastIndex = e.OpID.Index
-	l.active.size += int64(len(buf))
+	l.active.push(e.OpID.Index, int64(len(buf)))
 	if l.firstIndex == 0 {
 		l.firstIndex = e.OpID.Index
 	}
@@ -627,7 +660,7 @@ func (l *Log) Entry(index uint64) (*Entry, error) {
 		return e, nil
 	}
 	l.statFileReads++
-	loc, ok := l.offsets[index]
+	loc, ok := l.locateLocked(index)
 	if !ok {
 		l.mu.Unlock()
 		return nil, fmt.Errorf("%w: index %d", ErrNotFound, index)
@@ -678,8 +711,8 @@ func (l *Log) Entries(from, to uint64) ([]*Entry, error) {
 		l.mu.Unlock()
 		return nil, err
 	}
-	// Coalesce the per-entry locations into one contiguous byte span per
-	// file (entries are laid out back to back within a file).
+	// One contiguous byte span per file: entries are laid out back to
+	// back within a file.
 	type span struct {
 		name   string
 		offset int64
@@ -688,23 +721,15 @@ func (l *Log) Entries(from, to uint64) ([]*Entry, error) {
 	}
 	var spans []span
 	for idx := from; idx <= to; {
-		loc, ok := l.offsets[idx]
+		loc, ok := l.locateLocked(idx)
 		if !ok {
 			l.mu.Unlock()
 			return nil, fmt.Errorf("%w: index %d", ErrNotFound, idx)
 		}
-		sp := span{name: loc.file.name, offset: loc.offset, count: 1}
-		end := loc.offset + loc.length
-		for idx++; idx <= to; idx++ {
-			next, ok := l.offsets[idx]
-			if !ok || next.file != loc.file {
-				break
-			}
-			end = next.offset + next.length
-			sp.count++
-		}
-		sp.length = end - sp.offset
-		spans = append(spans, sp)
+		last := min(to, loc.file.lastIndex)
+		spans = append(spans, span{name: loc.file.name, offset: loc.offset,
+			length: loc.file.end(last) - loc.offset, count: int(last - idx + 1)})
+		idx = last + 1
 	}
 	dir := l.dir
 	l.mu.Unlock()
@@ -819,7 +844,7 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 	}
 	var removed []*Entry
 	for idx := index + 1; idx <= l.lastOpID.Index; idx++ {
-		loc, ok := l.offsets[idx]
+		loc, ok := l.locateLocked(idx)
 		if !ok {
 			continue
 		}
@@ -831,7 +856,6 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 		if e.HasGTID {
 			l.gtids.Remove(e.GTID)
 		}
-		delete(l.offsets, idx)
 	}
 	l.tail.truncateAfter(index)
 	// Find the file that keeps the tail and drop every later file.
@@ -853,16 +877,16 @@ func (l *Log) TruncateAfter(index uint64) ([]*Entry, error) {
 	newSize := tail.size
 	newLast := opid.Zero
 	if index >= tail.firstIndex && tail.firstIndex != 0 && index <= tail.lastIndex {
-		loc := l.offsets[index]
-		newSize = loc.offset + loc.length
+		newSize = tail.end(index)
+		tail.starts = tail.starts[:index-tail.firstIndex+1]
 		tail.lastIndex = index
 	} else if tail.firstIndex == 0 || index < tail.firstIndex {
-		// Everything in the tail file goes; cut back to its header.
+		// Everything in the tail file goes; cut back to its header, whose
+		// previous-GTIDs set is the (already unwound) executed set.
+		tail.firstIndex, tail.lastIndex, tail.starts = 0, 0, nil
 		newSize = headerSize(l.gtidsBeforeFileLocked(tail), l.anchor)
-		tail.firstIndex = 0
-		tail.lastIndex = 0
 	}
-	if loc, ok := l.offsets[index]; ok {
+	if loc, ok := l.locateLocked(index); ok {
 		e, err := l.entryLocked(index, loc)
 		if err != nil {
 			return nil, err
@@ -942,7 +966,7 @@ func (l *Log) gtidsBeforeFileLocked(lf *logFile) *gtid.Set {
 	// Remove GTIDs of entries at or after lf's first entry.
 	if lf.firstIndex != 0 {
 		for idx := lf.firstIndex; idx <= l.lastOpID.Index; idx++ {
-			if loc, ok := l.offsets[idx]; ok {
+			if loc, ok := l.locateLocked(idx); ok {
 				if e, err := l.entryLocked(idx, loc); err == nil && e.HasGTID {
 					s.Remove(e.GTID)
 				}
@@ -986,7 +1010,6 @@ func (l *Log) ResetTo(op opid.OpID, gtids *gtid.Set) error {
 	old := l.files
 	l.files = nil
 	l.active = nil
-	l.offsets = make(map[uint64]entryLoc)
 	l.tail.reset()
 	l.firstIndex = 0
 	l.lastOpID = op
@@ -1036,9 +1059,6 @@ func (l *Log) PurgeTo(index uint64) error {
 	// bounds everything purged.
 	l.tail.dropBelow(l.files[cut-1].lastIndex + 1)
 	for _, f := range l.files[:cut] {
-		for idx := f.firstIndex; idx != 0 && idx <= f.lastIndex; idx++ {
-			delete(l.offsets, idx)
-		}
 		if err := os.Remove(filepath.Join(l.dir, f.name)); err != nil {
 			return fmt.Errorf("binlog: purge %s: %w", f.name, err)
 		}

@@ -783,7 +783,7 @@ func damageEntry(t *testing.T, rotateAfter, index uint64) (dir, file string, off
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	loc := l.offsets[index]
+	loc, _ := l.locateLocked(index)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -800,8 +800,9 @@ func damageEntry(t *testing.T, rotateAfter, index uint64) (dir, file string, off
 }
 
 // wantCorruptAt asserts that Open reports corruption of the record at
-// file:offset and leaves the file as it found it.
-func wantCorruptAt(t *testing.T, dir, file string, offset int64) {
+// file:offset, naming index as the first it could not read, and leaves
+// the file as it found it.
+func wantCorruptAt(t *testing.T, dir, file string, offset int64, index uint64) {
 	t.Helper()
 	before, err := os.ReadFile(filepath.Join(dir, file))
 	if err != nil {
@@ -813,8 +814,8 @@ func wantCorruptAt(t *testing.T, dir, file string, offset int64) {
 		t.Fatalf("Open succeeded with LastOpID %v over a damaged synced entry", l.LastOpID())
 	}
 	var ce *ErrCorrupt
-	if !errors.As(err, &ce) || ce.File != file || ce.Offset != offset {
-		t.Fatalf("Open error = %v, want ErrCorrupt in %s at offset %d", err, file, offset)
+	if !errors.As(err, &ce) || ce.File != file || ce.Offset != offset || ce.Index != index {
+		t.Fatalf("Open error = %v, want ErrCorrupt in %s at offset %d, first unreadable index %d", err, file, offset, index)
 	}
 	after, err := os.ReadFile(filepath.Join(dir, file))
 	if err != nil {
@@ -829,17 +830,17 @@ func wantCorruptAt(t *testing.T, dir, file string, offset int64) {
 // tail: trimming it would delete synced entries 4–10.
 func TestOpenReportsCorruptRecordBeforeValidEntries(t *testing.T) {
 	dir, file, offset := damageEntry(t, 0, 4)
-	wantCorruptAt(t, dir, file, offset)
+	wantCorruptAt(t, dir, file, offset, 4)
 }
 
 // Damage in a file that is not the active one is corruption wherever it
 // is: skipping it would leave a hole at 3–5 under a LastOpID of 10.
 func TestOpenReportsCorruptRecordInRotatedFile(t *testing.T) {
 	dir, file, offset := damageEntry(t, 5, 3)
-	wantCorruptAt(t, dir, file, offset)
+	wantCorruptAt(t, dir, file, offset, 3)
 	// Its last record too: only the active file can end torn.
 	dir, file, offset = damageEntry(t, 5, 5)
-	wantCorruptAt(t, dir, file, offset)
+	wantCorruptAt(t, dir, file, offset, 5)
 }
 
 // A damaged last record of the active file cannot be told from a torn

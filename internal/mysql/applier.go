@@ -398,8 +398,8 @@ func (a *applier) setErr(err error) {
 	a.mu.Unlock()
 }
 
-// applyEntry applies one relay-log transaction: RBR payload decoded, rows
-// staged, prepare, engine commit stamped with the entry's OpID. The
+// applyEntry applies one relay-log transaction: RBR payload staged and
+// prepared, engine commit stamped with the entry's OpID. The
 // commit-marker gate already ran, so stage 2 of the replica pipeline is
 // implicitly satisfied (§3.5).
 func (a *applier) applyEntry(e *binlog.Entry) error {
@@ -437,29 +437,13 @@ func (a *applier) applyEntry(e *binlog.Entry) error {
 }
 
 // stagePrepare runs the parallelizable half of one transaction apply:
-// decode the RBR payload, stage the row changes, write the prepare
-// marker. The returned transaction holds its row locks and awaits its
-// sequenced engine commit.
+// stage the RBR payload's rows and write the prepare marker, in one
+// engine call that reads the payload in place. The returned transaction
+// holds its row locks and awaits its sequenced engine commit.
 func (a *applier) stagePrepare(e *binlog.Entry) (*storage.Txn, error) {
-	changes, err := storage.DecodeChanges(e.Payload)
+	txn, err := a.s.engine.StagePayload(e.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("mysql: applier decode %s: %w", e.OpID, err)
-	}
-	txn := a.s.engine.Begin()
-	for _, c := range changes {
-		if c.IsDelete() {
-			err = txn.Delete(c.Key)
-		} else {
-			err = txn.Set(c.Key, c.After)
-		}
-		if err != nil {
-			txn.Rollback()
-			return nil, fmt.Errorf("mysql: applier stage %s: %w", e.OpID, err)
-		}
-	}
-	if err := txn.Prepare(); err != nil {
-		txn.Rollback()
-		return nil, fmt.Errorf("mysql: applier prepare %s: %w", e.OpID, err)
+		return nil, fmt.Errorf("mysql: applier stage %s: %w", e.OpID, err)
 	}
 	return txn, nil
 }

@@ -20,8 +20,8 @@ import (
 // once its dependency is at or below the commit sequencer's floor (the
 // highest index whose engine commit has fully completed), so two
 // transactions that share a row are never in flight together and workers
-// can never deadlock on row locks. Workers do the expensive half — decode
-// the RBR payload, stage the rows, write the prepare WAL record — and the
+// can never deadlock on row locks. Workers do the expensive half — stage
+// the RBR payload's rows and write the prepare WAL record — and the
 // sequencer then releases engine commits strictly in index order, keeping
 // the engine commit sequence gap-free (the invariant the §3.3/§A.2
 // restart cursor depends on).
@@ -60,15 +60,15 @@ func newDepTracker(capacity int, barrier uint64) *depTracker {
 // with writeset ws, then records ws as idx's footprint. A nil ws means
 // the dependency is unknown: the transaction serializes against
 // everything (fallback=true).
-func (t *depTracker) depend(idx uint64, ws storage.Writeset) (dep uint64, fallback bool) {
-	if len(ws) == 0 {
+func (t *depTracker) depend(idx uint64, ws storage.WritesetView) (dep uint64, fallback bool) {
+	if ws.Len() == 0 {
 		t.barrier = idx
 		clear(t.last)
 		return idx - 1, true
 	}
 	dep = t.barrier
-	for _, h := range ws {
-		if li, ok := t.last[h]; ok {
+	for i := range ws.Len() {
+		if li, ok := t.last[ws.At(i)]; ok {
 			if li >= idx {
 				li = idx - 1 // stale residue from an abandoned batch
 			}
@@ -77,7 +77,7 @@ func (t *depTracker) depend(idx uint64, ws storage.Writeset) (dep uint64, fallba
 			}
 		}
 	}
-	if len(t.last)+len(ws) > t.capacity {
+	if len(t.last)+ws.Len() > t.capacity {
 		clear(t.last)
 		t.barrier = idx - 1
 		if dep < idx-1 {
@@ -85,8 +85,8 @@ func (t *depTracker) depend(idx uint64, ws storage.Writeset) (dep uint64, fallba
 		}
 		fallback = true
 	}
-	for _, h := range ws {
-		t.last[h] = idx
+	for i := range ws.Len() {
+		t.last[ws.At(i)] = idx
 	}
 	return dep, fallback
 }

@@ -263,11 +263,11 @@ func (p *pipeline) flushGroup(repl Replicator, group []*pendingTxn) bool {
 	}
 	reqs := make([]TxnProposal, len(group))
 	for i, pt := range group {
-		// The payload carries the transaction's writeset ahead of the row
-		// changes so replica appliers can schedule non-conflicting
-		// transactions in parallel without decoding the rows.
+		// Prepare encoded the payload on the client thread: the writeset
+		// ahead of the row changes, so replica appliers can schedule
+		// non-conflicting transactions in parallel without decoding rows.
 		reqs[i] = TxnProposal{
-			Payload: storage.EncodeTxnPayload(pt.txn.Changes()),
+			Payload: pt.txn.Payload(),
 			GTID:    gtid.GTID{Source: p.s.opts.ServerUUID, ID: p.gtidNext + int64(i)},
 		}
 	}
@@ -334,18 +334,15 @@ func (p *pipeline) commitGroup(g *commitGroup) {
 	flushed := g.txns
 	last := flushed[len(flushed)-1]
 
-	// Wait for the group's last entry to be locally durable — the log
-	// writer's fsync covers everything queued behind it, so under load one
-	// flush resolves this wait for several groups — and consensus
-	// committed. The consensus layer resolves both waits on success,
-	// demotion, truncation or shutdown; there is deliberately no
-	// client-side timeout here (see the type comment).
+	// Wait, in one consensus-layer call, for the group's last entry to be
+	// locally durable — the log writer's fsync covers everything queued
+	// behind it, so under load one flush resolves this wait for several
+	// groups — and consensus committed. The consensus layer resolves the
+	// wait on success, demotion, truncation or shutdown; there is
+	// deliberately no client-side timeout here (see the type comment).
 	start := time.Now()
 	ctx := context.Background()
-	err := g.repl.WaitDurable(ctx, last.op.Index)
-	if err == nil {
-		err = g.repl.WaitCommitted(ctx, last.op.Index)
-	}
+	err := g.repl.WaitDurableCommit(ctx, last.op.Index)
 	p.quorumBusyNs.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		// The tail failed; transactions at or below the actual commit
@@ -359,7 +356,7 @@ func (p *pipeline) commitGroup(g *commitGroup) {
 		for n < len(flushed) && flushed[n].op.Index <= commit {
 			n++
 		}
-		if n > 0 && g.repl.WaitDurable(ctx, flushed[n-1].op.Index) != nil {
+		if n > 0 && g.repl.WaitDurableCommit(ctx, flushed[n-1].op.Index) != nil {
 			n = 0
 		}
 		healthy := true

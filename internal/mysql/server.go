@@ -51,11 +51,12 @@ type Replicator interface {
 	ProposeRotate() (opid.OpID, error)
 	// WaitCommitted blocks until index is consensus committed.
 	WaitCommitted(ctx context.Context, index uint64) error
-	// WaitDurable blocks until index is locally durable (fsynced to the
-	// binlog). The commit pipeline uses this instead of calling Sync
-	// itself: the consensus layer's async log writer owns fsync
-	// scheduling and coalesces neighbouring groups into one flush.
-	WaitDurable(ctx context.Context, index uint64) error
+	// WaitDurableCommit blocks until index is both consensus committed
+	// and locally durable (fsynced to the binlog), the point at which the
+	// commit pipeline may engine-commit it. The pipeline uses this instead
+	// of calling Sync itself: the consensus layer's async log writer owns
+	// fsync scheduling and coalesces neighbouring groups into one flush.
+	WaitDurableCommit(ctx context.Context, index uint64) error
 	// CommitIndex returns the current consensus commit marker.
 	CommitIndex() uint64
 }

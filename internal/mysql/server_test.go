@@ -31,14 +31,14 @@ type fakeReplicator struct {
 	proposeErr error
 	failErr    error // fails pending and future WaitCommitted calls
 
-	// Durability control. By default WaitDurable fsyncs inline; with
+	// Durability control. By default WaitDurableCommit fsyncs inline; with
 	// manualDurable it parks until releaseDurable covers the index or
 	// failDurable fails everything above the durable cursor, as the raft
 	// log writer and a truncation would.
 	manualDurable bool
 	durable       uint64
 	durableErr    error
-	durableParked uint64 // highest index a WaitDurable has parked on
+	durableParked uint64 // highest index a durability wait has parked on
 
 	// proposeGate, while non-nil, parks ProposeTransactionBatch (the
 	// flusher) until closed; proposeParked reports a caller parked there.
@@ -153,10 +153,18 @@ func (f *fakeReplicator) fail(err error) {
 	f.wake(func() { f.failErr = err })
 }
 
-// WaitDurable syncs the binlog inline by default: the fake has no async
+// WaitDurableCommit waits for durability, then for the commit marker.
+func (f *fakeReplicator) WaitDurableCommit(ctx context.Context, index uint64) error {
+	if err := f.waitDurable(ctx, index); err != nil {
+		return err
+	}
+	return f.WaitCommitted(ctx, index)
+}
+
+// waitDurable syncs the binlog inline by default: the fake has no async
 // writer, so "durable" is simply "fsynced now". In manualDurable mode it
 // parks until the test moves the durable cursor.
-func (f *fakeReplicator) WaitDurable(ctx context.Context, index uint64) error {
+func (f *fakeReplicator) waitDurable(ctx context.Context, index uint64) error {
 	for {
 		f.mu.Lock()
 		if !f.manualDurable {
@@ -216,8 +224,8 @@ func (f *fakeReplicator) wake(change func()) {
 	}
 }
 
-// parkedOnDurable reports whether a WaitDurable has parked on index (or
-// beyond).
+// parkedOnDurable reports whether a durability wait has parked on index
+// (or beyond).
 func (f *fakeReplicator) parkedOnDurable(index uint64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

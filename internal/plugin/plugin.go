@@ -230,15 +230,15 @@ func (p *Plugin) WaitCommitted(ctx context.Context, index uint64) error {
 	return n.WaitCommitted(ctx, index)
 }
 
-// WaitDurable implements mysql.Replicator: the commit pipeline parks
-// here instead of fsyncing the binlog itself, letting the raft node's
-// log writer batch the flush with everything else in its queue.
-func (p *Plugin) WaitDurable(ctx context.Context, index uint64) error {
+// WaitDurableCommit implements mysql.Replicator: the commit pipeline
+// parks here instead of fsyncing the binlog itself, letting the raft
+// node's log writer batch the flush with everything else in its queue.
+func (p *Plugin) WaitDurableCommit(ctx context.Context, index uint64) error {
 	n := p.Node()
 	if n == nil {
 		return fmt.Errorf("plugin: no raft node attached")
 	}
-	return n.WaitDurable(ctx, index)
+	return n.WaitDurableCommit(ctx, index)
 }
 
 // CommitIndex implements mysql.Replicator.

@@ -15,10 +15,12 @@ import (
 )
 
 // commitWaiter is a pipeline thread blocked in the "wait for Raft
-// consensus commit" stage (§3.4).
+// consensus commit" stage (§3.4). A durable waiter also needs the entry
+// locally durable (WaitDurableCommit).
 type commitWaiter struct {
-	index uint64
-	ch    chan error
+	index   uint64
+	ch      chan error
+	durable bool
 }
 
 // proposedSpan is a sampled leader proposal awaiting its replicate-stage
@@ -102,10 +104,15 @@ func (n *Node) notifyWaiters() {
 	}
 	kept := n.waiters[:0]
 	for _, w := range n.waiters {
-		if w.index <= n.commitIndex {
-			w.ch <- nil
-		} else {
+		switch {
+		case w.index > n.commitIndex:
 			kept = append(kept, w)
+		case w.durable:
+			// Committed: from here only the local fsync, a stop or a failed
+			// log writer can end the wait, whatever the role.
+			n.awaitDurable(w.index, w.ch)
+		default:
+			w.ch <- nil
 		}
 	}
 	n.waiters = kept
@@ -283,6 +290,37 @@ func (n *Node) WaitCommitted(ctx context.Context, index uint64) error {
 			return
 		}
 		n.waiters = append(n.waiters, commitWaiter{index: index, ch: ch})
+	})
+	if err != nil {
+		return err
+	}
+	select {
+	case err := <-ch:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// WaitDurableCommit blocks until index is both consensus committed and
+// locally durable, in one event-loop post: the commit pipeline's
+// committer may engine-commit a group only then (§3.4). Until the index
+// commits it fails like WaitCommitted (ErrLeadershipLost on demotion);
+// once committed, like WaitDurable. Either way ErrStopped on stop.
+func (n *Node) WaitDurableCommit(ctx context.Context, index uint64) error {
+	ch := make(chan error, 1)
+	err := n.post(func() {
+		switch {
+		case index <= n.commitIndex:
+			n.awaitDurable(index, ch)
+		case n.role != RoleLeader:
+			// See WaitCommitted: a demotion's waiter flush already ran.
+			ch <- ErrLeadershipLost
+		case index > n.lastOpID.Index:
+			ch <- ErrNotDurable // truncated away, as WaitDurable reports
+		default:
+			n.waiters = append(n.waiters, commitWaiter{index: index, ch: ch, durable: true})
+		}
 	})
 	if err != nil {
 		return err

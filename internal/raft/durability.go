@@ -107,6 +107,9 @@ type logWriter struct {
 	mu    sync.Mutex
 	cond  *sync.Cond // broadcast on any state change
 	queue []queuedAppend
+	// spare is the previous batch's emptied slice: run swaps it in as
+	// the queue when it takes a batch, so neither regrows per batch.
+	spare []queuedAppend
 	busy  bool // run is appending/syncing a taken batch
 
 	unsyncedBytes int64
@@ -266,13 +269,15 @@ func (w *logWriter) run() {
 			return // stopped and fully drained
 		}
 		batch := w.queue
-		w.queue = nil
+		w.queue = w.spare
 		w.busy = true
 		w.mu.Unlock()
 
 		w.process(batch)
+		clear(batch) // drop the entry and span references
 
 		w.mu.Lock()
+		w.spare = batch[:0]
 		w.busy = false
 		w.cond.Broadcast()
 		w.mu.Unlock()
@@ -459,27 +464,14 @@ func (n *Node) failDurableWaitersAbove(index uint64) {
 
 // WaitDurable blocks until the local log is durable (group-fsynced)
 // through index, the entry is truncated away, the node stops, or the
-// context is done. The MySQL commit pipeline's committer awaits this
-// instead of issuing its own Sync (§3.4); it may register the wait several
-// groups after the propose, so a truncation or writer failure that
-// happened in between — whose waiter flush already ran — fails it here.
+// context is done. A caller may register the wait long after the
+// propose — the MySQL commit pipeline's committer does, through
+// WaitDurableCommit, instead of issuing its own Sync (§3.4) — so a
+// truncation or writer failure that happened in between, whose waiter
+// flush already ran, fails it here.
 func (n *Node) WaitDurable(ctx context.Context, index uint64) error {
 	ch := make(chan error, 1)
-	err := n.post(func() {
-		if index <= n.selfMatch {
-			ch <- nil
-			return
-		}
-		if index > n.lastOpID.Index {
-			ch <- ErrNotDurable
-			return
-		}
-		if _, werr := n.writer.state(); werr != nil {
-			ch <- werr
-			return
-		}
-		n.durableWaiters = append(n.durableWaiters, commitWaiter{index: index, ch: ch})
-	})
+	err := n.post(func() { n.awaitDurable(index, ch) })
 	if err != nil {
 		return err
 	}
@@ -489,6 +481,24 @@ func (n *Node) WaitDurable(ctx context.Context, index uint64) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// awaitDurable completes ch once index is locally durable, at once if it
+// already is or can never be, else through durableWaiters.
+func (n *Node) awaitDurable(index uint64, ch chan error) {
+	if index <= n.selfMatch {
+		ch <- nil
+		return
+	}
+	if index > n.lastOpID.Index {
+		ch <- ErrNotDurable
+		return
+	}
+	if _, werr := n.writer.state(); werr != nil {
+		ch <- werr
+		return
+	}
+	n.durableWaiters = append(n.durableWaiters, commitWaiter{index: index, ch: ch})
 }
 
 // DurableIndex returns the highest locally durable log index.

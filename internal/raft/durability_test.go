@@ -444,3 +444,185 @@ func TestWaitDurableRegisteredAfterTheFailure(t *testing.T) {
 		t.Fatalf("wait after writer failure = %v (ctx %v), want the writer's error", err, ctx.Err())
 	}
 }
+
+// waitDurableCommitAsync registers a WaitDurableCommit on n and returns
+// its result channel once the wait is parked on the event loop.
+func waitDurableCommitAsync(t *testing.T, n *Node, index uint64) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- n.WaitDurableCommit(context.Background(), index) }()
+	// A post queued after the wait's runs after it registered.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var parked bool
+		n.post(func() {
+			for _, ws := range [][]commitWaiter{n.waiters, n.durableWaiters} {
+				for _, w := range ws {
+					parked = parked || w.index == index
+				}
+			}
+		})
+		if parked {
+			return done
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("WaitDurableCommit(%d) returned %v before parking", index, err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("WaitDurableCommit(%d) never parked", index)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// expectPending fails if the wait already returned.
+func expectPending(t *testing.T, done <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		t.Fatalf("WaitDurableCommit returned %v while %s", err, what)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// expectResult waits for the wait's result and checks it.
+func expectResult(t *testing.T, done <-chan error, want error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if !errors.Is(err, want) {
+			t.Fatalf("WaitDurableCommit = %v, want %v", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitDurableCommit never returned")
+	}
+}
+
+// TestWaitDurableCommitDurableThenCommitted: the leader's own fsync lands
+// while its followers' acks are lost (its heartbeats still reach them, so
+// nobody campaigns); the wait resolves only once the quorum commits the
+// entry too.
+func TestWaitDurableCommitDurableThenCommitted(t *testing.T) {
+	c := newCluster(t, flatConfig(3), nil)
+	n := c.elect("n0")
+	c.net.PartitionOneWay("n1", "n0")
+	c.net.PartitionOneWay("n2", "n0")
+	op, err := n.Propose([]byte("x"), gtid.GTID{Source: "s", ID: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.waitCondition("local durability", func() bool { return n.DurableIndex() >= op.Index })
+	done := waitDurableCommitAsync(t, n, op.Index)
+	expectPending(t, done, "durable but not committed")
+	c.net.HealAll()
+	expectResult(t, done, nil)
+	// Past the tail (a truncated entry) it fails at once.
+	if err := n.WaitDurableCommit(context.Background(), op.Index+100); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("wait past the tail = %v, want ErrNotDurable", err)
+	}
+}
+
+// TestWaitDurableCommitCommittedThenDurable: the followers' acks commit the
+// entry while the leader's own fsync is stuck; the wait resolves only
+// once the fsync lands, whether it was registered before the commit or
+// after it.
+func TestWaitDurableCommitCommittedThenDurable(t *testing.T) {
+	cfg := flatConfig(3)
+	net := transport.New(transport.Config{IntraRegion: 200 * time.Microsecond}, nil)
+	gated := newGatedLog()
+	var leader *Node
+	for i, m := range cfg.Members {
+		var log LogStore = &memLog{}
+		if i == 0 {
+			log = gated
+		}
+		n, err := NewNode(defaultNodeCfg(m.ID, m.Region), log, &recordingCallbacks{}, net.Register(m.ID, m.Region), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(cfg); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Stop)
+		if i == 0 {
+			leader = n
+		}
+	}
+	t.Cleanup(func() {
+		gated.open()
+		net.Close()
+	})
+	leader.CampaignNow()
+	deadline := time.Now().Add(10 * time.Second)
+	for leader.Status().Role != RoleLeader {
+		if time.Now().After(deadline) {
+			t.Fatal("never became leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Hold the acks back until the first wait has parked uncommitted.
+	net.PartitionOneWay("n1", "n0")
+	net.PartitionOneWay("n2", "n0")
+	op, err := leader.Propose([]byte("x"), gtid.GTID{Source: "s", ID: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := waitDurableCommitAsync(t, leader, op.Index)
+	net.HealAll()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := leader.WaitCommitted(ctx, op.Index); err != nil {
+		t.Fatal(err)
+	}
+	if di := leader.DurableIndex(); di >= op.Index {
+		t.Fatalf("durable index %d with the leader's fsync gated", di)
+	}
+	after := waitDurableCommitAsync(t, leader, op.Index)
+	expectPending(t, before, "committed but not durable")
+	expectPending(t, after, "committed but not durable")
+	gated.open()
+	expectResult(t, before, nil)
+	expectResult(t, after, nil)
+}
+
+// TestWaitDurableCommitFailsOnDemotion: an uncommitted wait fails with
+// ErrLeadershipLost when the leader is deposed.
+func TestWaitDurableCommitFailsOnDemotion(t *testing.T) {
+	c := newCluster(t, flatConfig(3), nil)
+	n := c.elect("n0")
+	c.net.Partition("n0", "n1")
+	c.net.Partition("n0", "n2")
+	op, err := n.Propose([]byte("stuck"), gtid.GTID{Source: "s", ID: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitDurableCommitAsync(t, n, op.Index)
+	// Either of the cut-off pair may win the new term.
+	c.nodes["n1"].CampaignNow()
+	c.waitCondition("a new leader", func() bool {
+		return c.nodes["n1"].Status().Role == RoleLeader || c.nodes["n2"].Status().Role == RoleLeader
+	})
+	c.net.HealAll()
+	expectResult(t, done, ErrLeadershipLost)
+	// Registered after the demotion, it fails at once.
+	if err := n.WaitDurableCommit(context.Background(), op.Index+1); !errors.Is(err, ErrLeadershipLost) {
+		t.Fatalf("wait on a follower = %v, want ErrLeadershipLost", err)
+	}
+}
+
+// TestWaitDurableCommitFailsOnStop: a parked wait fails with ErrStopped.
+func TestWaitDurableCommitFailsOnStop(t *testing.T) {
+	c := newCluster(t, flatConfig(3), nil)
+	n := c.elect("n0")
+	c.net.Partition("n0", "n1")
+	c.net.Partition("n0", "n2")
+	op, err := n.Propose([]byte("stuck"), gtid.GTID{Source: "s", ID: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitDurableCommitAsync(t, n, op.Index)
+	n.Stop()
+	expectResult(t, done, ErrStopped)
+}

@@ -326,11 +326,15 @@ func (r *primaryRepl) WaitCommitted(ctx context.Context, index uint64) error {
 	return nil
 }
 
-// WaitDurable fsyncs inline: the semi-sync baseline has no async log
-// writer, so the commit pipeline's durability point is a synchronous
-// flush — exactly the behaviour MyRaft's pipeline is measured against.
-func (r *primaryRepl) WaitDurable(ctx context.Context, index uint64) error {
-	return r.node.store().Sync()
+// WaitDurableCommit fsyncs inline, then waits for the semi-sync ack: the
+// semi-sync baseline has no async log writer, so the commit pipeline's
+// durability point is a synchronous flush — exactly the behaviour
+// MyRaft's pipeline is measured against.
+func (r *primaryRepl) WaitDurableCommit(ctx context.Context, index uint64) error {
+	if err := r.node.store().Sync(); err != nil {
+		return err
+	}
+	return r.WaitCommitted(ctx, index)
 }
 
 // CommitIndex returns the highest semi-sync-acked index.
@@ -463,9 +467,12 @@ func (r *replicaRepl) WaitCommitted(ctx context.Context, index uint64) error {
 	return nil
 }
 
-// WaitDurable fsyncs inline (see primaryRepl.WaitDurable).
-func (r *replicaRepl) WaitDurable(ctx context.Context, index uint64) error {
-	return r.node.store().Sync()
+// WaitDurableCommit fsyncs inline (see primaryRepl.WaitDurableCommit).
+func (r *replicaRepl) WaitDurableCommit(ctx context.Context, index uint64) error {
+	if err := r.node.store().Sync(); err != nil {
+		return err
+	}
+	return r.WaitCommitted(ctx, index)
 }
 
 func (r *replicaRepl) CommitIndex() uint64 {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,7 +77,7 @@ type Options struct {
 type Engine struct {
 	mu       sync.Mutex
 	rows     map[string][]byte
-	locks    map[string]*rowLock
+	locks    map[string]rowLock // by value: a lock allocates nothing
 	prepared map[uint64]*Txn
 	lastOp   opid.OpID // OpID of the last engine-committed transaction
 	nextTxn  uint64
@@ -105,7 +106,8 @@ type Engine struct {
 // walBufSize is the engine WAL's user-space buffer.
 const walBufSize = 1 << 18
 
-// rowLock is an exclusive row lock with a waiter count.
+// rowLock is an exclusive row lock and the channels of its waiters. It
+// is held in Engine.locks by value, so a change to it is written back.
 type rowLock struct {
 	owner   uint64
 	waiters []chan struct{}
@@ -125,7 +127,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		rows:     make(map[string][]byte),
-		locks:    make(map[string]*rowLock),
+		locks:    make(map[string]rowLock),
 		prepared: make(map[uint64]*Txn),
 		walPath:  filepath.Join(opts.Dir, "engine.wal"),
 		lockWait: opts.LockWaitTimeout,
@@ -227,19 +229,26 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const walFixedBody = 1 + 8 + 8 + 8
 
 // encodeWALRecord frames rec as length | body | crc32(body) in one buffer
-// of exactly the record's size.
+// of exactly the record's size: the change list is encoded where
+// appendWALRecord then copies it onto itself.
 func encodeWALRecord(rec *walRecord) []byte {
-	csize := changesSize(rec.changes)
-	bodyLen := walFixedBody + 4 + csize
-	buf := make([]byte, 0, 4+bodyLen+4)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(bodyLen))
-	buf = append(buf, byte(rec.typ))
-	buf = binary.BigEndian.AppendUint64(buf, rec.txnID)
-	buf = binary.BigEndian.AppendUint64(buf, rec.op.Term)
-	buf = binary.BigEndian.AppendUint64(buf, rec.op.Index)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(csize))
-	buf = appendChanges(buf, rec.changes)
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[4:], castagnoli))
+	hdr := 4 + walFixedBody + 4
+	buf := make([]byte, 0, hdr+changesSize(rec.changes)+4)
+	return appendWALRecord(buf, rec.typ, rec.txnID, rec.op, appendChanges(buf[hdr:hdr], rec.changes))
+}
+
+// appendWALRecord appends one record whose body ends in list, an encoded
+// change list, taken as it is.
+func appendWALRecord(buf []byte, typ walRecordType, txnID uint64, op opid.OpID, list []byte) []byte {
+	start := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(walFixedBody+4+len(list)))
+	buf = append(buf, byte(typ))
+	buf = binary.BigEndian.AppendUint64(buf, txnID)
+	buf = binary.BigEndian.AppendUint64(buf, op.Term)
+	buf = binary.BigEndian.AppendUint64(buf, op.Index)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(list)))
+	buf = append(buf, list...)
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start+4:], castagnoli))
 }
 
 func decodeWALRecord(data []byte) (*walRecord, []byte, bool) {
@@ -278,16 +287,16 @@ func decodeWALRecord(data []byte) (*walRecord, []byte, bool) {
 	return rec, rest, true
 }
 
-func (e *Engine) writeWAL(rec *walRecord) error {
-	return e.writeWALBytes(encodeWALRecord(rec))
-}
+// emptyChangeList is the encoded change list of a record without changes
+// (commit, rollback): a zero count.
+var emptyChangeList = []byte{0, 0, 0, 0}
 
-// writeWALBytes appends a pre-encoded record. Callers on the parallel
-// apply path encode off-lock (encodeWALRecord walks and re-serializes the
-// whole change list, which is the expensive half of a WAL append) and
-// only take the engine mutex for the write itself.
-func (e *Engine) writeWALBytes(buf []byte) error {
-	if _, err := e.walw.Write(buf); err != nil {
+// appendWAL appends one record whose body ends in list straight into the
+// WAL writer's free space (a record that does not fit gets a buffer of
+// its own). A prepare passes its payload's change-list section: rows are
+// serialized once, for binlog and WAL. e.mu must be held.
+func (e *Engine) appendWAL(typ walRecordType, txnID uint64, op opid.OpID, list []byte) error {
+	if _, err := e.walw.Write(appendWALRecord(e.walw.AvailableBuffer(), typ, txnID, op, list)); err != nil {
 		return fmt.Errorf("storage: wal append: %w", err)
 	}
 	e.dirty = true
@@ -321,8 +330,8 @@ func WALCommitOps(dir string) ([]opid.OpID, error) {
 	return ops, nil
 }
 
-// applyChange installs c.After without a copy: Txn.Set and readBytes (WAL
-// recovery, the replica applier) hand over slices nothing else writes.
+// applyChange installs c.After without a copy: Txn.Set, StagePayload and
+// readBytes (WAL recovery) hand over slices nothing else writes.
 func (e *Engine) applyChange(c RowChange) {
 	if c.IsDelete() {
 		delete(e.rows, c.Key)
@@ -468,11 +477,14 @@ func (e *Engine) Crash() {
 	e.wal.Close()
 	// Wake any lock waiters so goroutines don't leak; their transactions
 	// will fail on the closed engine.
-	for _, l := range e.locks {
+	// The cleared lock is written back: a later Rollback releases the same
+	// lock and must not close these channels again.
+	for key, l := range e.locks {
 		for _, w := range l.waiters {
 			close(w)
 		}
 		l.waiters = nil
+		e.locks[key] = l
 	}
 }
 
@@ -480,24 +492,77 @@ func (e *Engine) Crash() {
 func (e *Engine) Begin() *Txn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	id := e.nextTxn
+	t := &Txn{engine: e, id: e.nextTxn}
+	t.changes = t.inline[:0]
 	e.nextTxn++
-	return &Txn{engine: e, id: id, writes: make(map[string]int)}
+	return t
 }
 
+// StagePayload is a replica's prepare of a replicated transaction
+// (§3.5): it locks each row of payload (either framing), copying each
+// value once, and writes the payload's own change-list bytes as the
+// prepare record. A payload that does not decode is refused; on any
+// error nothing stays locked.
+func (e *Engine) StagePayload(payload []byte) (*Txn, error) {
+	_, list, err := splitPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	t := e.Begin()
+	err = walkChanges(list, func(key, _, after []byte) error {
+		return t.write(string(key), bytes.Clone(after)) // nil stays a delete
+	})
+	if err == nil {
+		t.payload = payload
+		err = t.prepare()
+	}
+	if err != nil {
+		t.Rollback()
+		return nil, err
+	}
+	return t, nil
+}
+
+// txnInline is how many row changes a transaction holds inside its own
+// allocation; most transactions write one row.
+const txnInline = 2
+
+// txnScanMax is the change count up to which a transaction finds a key by
+// scanning its changes; past it a map indexes them.
+const txnScanMax = 8
+
 // Txn is a single transaction. A Txn is used by one goroutine at a time.
+// Its row locks are exactly the keys of its changes.
 type Txn struct {
-	engine   *Engine
-	id       uint64
-	writes   map[string]int // key → its change's position in changes
-	changes  []RowChange    // in first-write order, for deterministic payloads
-	locked   []string
+	engine  *Engine
+	id      uint64
+	changes []RowChange // in first-write order, for deterministic payloads
+	inline  [txnInline]RowChange
+	index   map[string]int // key → position in changes, past txnScanMax
+	// payload is the binlog payload the transaction was prepared from;
+	// its change-list section is the prepare record's.
+	payload  []byte
 	prepared bool
 	done     bool
 }
 
 // ID returns the engine-local transaction ID.
 func (t *Txn) ID() uint64 { return t.id }
+
+// find returns the position of key's change, or -1.
+func (t *Txn) find(key string) int {
+	if i, ok := t.index[key]; ok {
+		return i
+	}
+	if t.index == nil {
+		for i := range t.changes {
+			if t.changes[i].Key == key {
+				return i
+			}
+		}
+	}
+	return -1
+}
 
 // lockRow acquires the exclusive lock on key, blocking up to the engine's
 // lock wait timeout.
@@ -510,11 +575,10 @@ func (t *Txn) lockRow(key string) error {
 			e.mu.Unlock()
 			return ErrClosed
 		}
-		l := e.locks[key]
-		if l == nil {
-			e.locks[key] = &rowLock{owner: t.id}
+		l, held := e.locks[key]
+		if !held {
+			e.locks[key] = rowLock{owner: t.id}
 			e.mu.Unlock()
-			t.locked = append(t.locked, key)
 			return nil
 		}
 		if l.owner == t.id {
@@ -523,6 +587,7 @@ func (t *Txn) lockRow(key string) error {
 		}
 		wait := make(chan struct{})
 		l.waiters = append(l.waiters, wait)
+		e.locks[key] = l
 		e.mu.Unlock()
 		remain := time.Until(deadline)
 		if remain <= 0 {
@@ -541,18 +606,17 @@ func (t *Txn) lockRow(key string) error {
 // unlockAllLocked releases the transaction's row locks. e.mu must be held.
 func (t *Txn) unlockAllLocked() {
 	e := t.engine
-	for _, key := range t.locked {
-		l := e.locks[key]
-		if l == nil || l.owner != t.id {
+	for i := range t.changes {
+		key := t.changes[i].Key
+		l, held := e.locks[key]
+		if !held || l.owner != t.id {
 			continue
 		}
-		waiters := l.waiters
 		delete(e.locks, key)
-		for _, w := range waiters {
+		for _, w := range l.waiters {
 			close(w)
 		}
 	}
-	t.locked = nil
 }
 
 // Get reads key with read-your-writes semantics.
@@ -560,7 +624,7 @@ func (t *Txn) Get(key string) ([]byte, bool, error) {
 	if t.done {
 		return nil, false, ErrTxnFinished
 	}
-	if i, ok := t.writes[key]; ok {
+	if i := t.find(key); i >= 0 {
 		c := t.changes[i]
 		if c.IsDelete() {
 			return nil, false, nil
@@ -592,38 +656,55 @@ func (t *Txn) write(key string, after []byte) error {
 	if err := t.lockRow(key); err != nil {
 		return err
 	}
-	if i, ok := t.writes[key]; ok {
+	if i := t.find(key); i >= 0 {
 		t.changes[i].After = after
 		return nil
 	}
-	t.writes[key] = len(t.changes)
 	t.changes = append(t.changes, RowChange{Key: key, After: after})
+	if n := len(t.changes); n > txnScanMax {
+		if t.index == nil {
+			t.index = make(map[string]int, 2*n)
+		}
+		for i := len(t.index); i < n; i++ { // keys are distinct
+			t.index[t.changes[i].Key] = i
+		}
+	}
 	return nil
 }
 
-// Changes returns the transaction's row changes in first-write order. The
-// primary serializes this as the binlog payload. It is the transaction's
-// own list, not a copy, and fixed once Prepare refuses further writes, so
-// Prepare, the commit pipeline and Commit share it; callers must not
-// modify it.
+// Changes returns the transaction's row changes in first-write order. It
+// is the transaction's own list, not a copy, and fixed once Prepare
+// refuses further writes, so Prepare, the commit pipeline and Commit
+// share it; callers must not modify it.
 func (t *Txn) Changes() []RowChange { return t.changes }
 
-// Prepare writes the prepare marker and row changes to the engine WAL.
-// After Prepare, the transaction holds its locks and waits for the
-// replication layer; it can then be Committed or Rolled back (including
-// after a crash, where recovery rolls it back implicitly). Prepare,
-// Commit and Rollback serialize on the engine mutex, so the commit
-// pipeline and a concurrent demotion's RollbackPrepared may race to
-// finish the same transaction and exactly one wins.
+// Payload returns the binlog payload the transaction was prepared from,
+// nil before; on the primary, EncodeTxnPayload of Changes, which it
+// proposes as it is. Callers must not modify it.
+func (t *Txn) Payload() []byte { return t.payload }
+
+// Prepare encodes the transaction's payload and writes the prepare
+// marker and that payload's row changes to the engine WAL. After Prepare,
+// the transaction holds its locks and waits for the replication layer; it
+// can then be Committed or Rolled back (including after a crash, where
+// recovery rolls it back implicitly). Prepare, Commit and Rollback
+// serialize on the engine mutex, so the commit pipeline and a concurrent
+// demotion's RollbackPrepared may race to finish the same transaction and
+// exactly one wins.
 func (t *Txn) Prepare() error {
+	// Encoded off the engine mutex: it is the bulk of a prepare, and the
+	// transaction's writes are stable (this goroutine owns it until it is
+	// prepared); the state checks still happen under the lock.
+	if !t.prepared && !t.done {
+		t.payload = EncodeTxnPayload(t.changes)
+	}
+	return t.prepare()
+}
+
+// prepare writes the prepare record from t.payload, which decodes.
+func (t *Txn) prepare() error {
 	e := t.engine
-	// Encode the record before taking the engine mutex: the prepare record
-	// carries the full change list, and serializing it is the bulk of the
-	// work. Concurrent parallel-apply workers would otherwise serialize
-	// their whole prepare, not just the WAL write. The transaction is
-	// owned by this goroutine, so its buffered writes are stable; the
-	// state checks still happen under the lock.
-	rec := encodeWALRecord(&walRecord{typ: walPrepare, txnID: t.id, changes: t.Changes()})
+	_, list, _ := splitPayload(t.payload)
 	// Simulated staging I/O: blocks this transaction (row locks held)
 	// without serializing concurrent preparers. See Options.
 	clock.Sleep(e.prepLat)
@@ -638,7 +719,7 @@ func (t *Txn) Prepare() error {
 	if e.closed {
 		return ErrClosed
 	}
-	if err := e.writeWALBytes(rec); err != nil {
+	if err := e.appendWAL(walPrepare, t.id, opid.Zero, list); err != nil {
 		return err
 	}
 	t.prepared = true
@@ -651,9 +732,6 @@ func (t *Txn) Prepare() error {
 // locks. This is stage 3 of the commit pipeline (§3.4).
 func (t *Txn) Commit(op opid.OpID) error {
 	e := t.engine
-	// Commit records are small; encode off-lock so the commit sequencer's
-	// critical section is just the WAL write and the row-map update.
-	rec := encodeWALRecord(&walRecord{typ: walCommit, txnID: t.id, op: op})
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if t.done {
@@ -665,7 +743,7 @@ func (t *Txn) Commit(op opid.OpID) error {
 	if e.closed {
 		return ErrClosed
 	}
-	if err := e.writeWALBytes(rec); err != nil {
+	if err := e.appendWAL(walCommit, t.id, op, emptyChangeList); err != nil {
 		return err
 	}
 	for _, c := range t.changes {
@@ -693,7 +771,7 @@ func (t *Txn) Rollback() error {
 	delete(e.prepared, t.id)
 	t.unlockAllLocked()
 	if t.prepared && !e.closed {
-		return e.writeWAL(&walRecord{typ: walRollback, txnID: t.id})
+		return e.appendWAL(walRollback, t.id, opid.Zero, emptyChangeList)
 	}
 	return nil
 }

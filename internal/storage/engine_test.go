@@ -238,24 +238,16 @@ func TestCommittedRowsOwnTheirBytes(t *testing.T) {
 	got, _ := e.Get("set")
 	scribble(got)
 
-	// A replica applies a payload the way mysql's applier does: decode,
-	// then write each change into a transaction.
+	// A replica stages the payload the way mysql's applier does.
 	payload := EncodeTxnPayload([]RowChange{{Key: "replica", After: []byte("replica-value")}})
-	applied, err := DecodeChanges(payload)
+	txn, err := e.StagePayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	txn = e.Begin()
-	for _, c := range applied {
-		if err := txn.Set(c.Key, c.After); err != nil {
-			t.Fatal(err)
-		}
+	if err := txn.Commit(opid.OpID{Term: 1, Index: 2}); err != nil {
+		t.Fatal(err)
 	}
-	commit(txn, 2)
 	scribble(payload)
-	for _, c := range applied {
-		scribble(c.After)
-	}
 
 	want := map[string]string{"set": "set-value", "replica": "replica-value"}
 	check := func(e *Engine, when string) {
@@ -273,7 +265,7 @@ func TestCommittedRowsOwnTheirBytes(t *testing.T) {
 }
 
 // TestSetEmptyValueKeepsTheRow: an empty value is a row, not a delete —
-// after commit, on a replica that applies the decoded payload, and after
+// after commit, on a replica that stages the payload, and after
 // the engine recovers from its WAL.
 func TestSetEmptyValueKeepsTheRow(t *testing.T) {
 	dir := t.TempDir()
@@ -303,21 +295,12 @@ func TestSetEmptyValueKeepsTheRow(t *testing.T) {
 
 	replica := openTestEngine(t, "")
 	mustCommit(t, replica, opid.OpID{Term: 1, Index: 1}, map[string]string{"k": "v"})
-	applied, err := DecodeChanges(payload)
+	txn, err := replica.StagePayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	txn = replica.Begin()
-	for _, c := range applied {
-		if c.IsDelete() {
-			t.Fatalf("decoded change %+v is a delete", c)
-		}
-		if err := txn.Set(c.Key, c.After); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := txn.Prepare(); err != nil {
-		t.Fatal(err)
+	if c := txn.Changes()[0]; c.IsDelete() {
+		t.Fatalf("staged change %+v is a delete", c)
 	}
 	if err := txn.Commit(opid.OpID{Term: 1, Index: 2}); err != nil {
 		t.Fatal(err)

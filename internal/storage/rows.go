@@ -13,6 +13,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -40,6 +41,13 @@ func appendBytes(buf []byte, b []byte) []byte {
 }
 
 func readBytes(data []byte) ([]byte, []byte, error) {
+	b, rest, err := sliceBytes(data)
+	return bytes.Clone(b), rest, err // keeps nil (the marker) apart from empty
+}
+
+// sliceBytes is readBytes without the copy: the returned slice aliases
+// data.
+func sliceBytes(data []byte) ([]byte, []byte, error) {
 	if len(data) < 4 {
 		return nil, nil, fmt.Errorf("storage: short length prefix")
 	}
@@ -51,7 +59,7 @@ func readBytes(data []byte) ([]byte, []byte, error) {
 	if uint32(len(data)) < n {
 		return nil, nil, fmt.Errorf("storage: short bytes: want %d have %d", n, len(data))
 	}
-	return append([]byte{}, data[:n]...), data[n:], nil
+	return data[:n:n], data[n:], nil
 }
 
 // changesSize is the exact encoded length of a row-change list.
@@ -98,37 +106,52 @@ func DecodeChanges(data []byte) ([]RowChange, error) {
 
 // decodeChangeList parses the v1 change-list framing.
 func decodeChangeList(data []byte) ([]RowChange, error) {
+	var changes []RowChange
+	err := walkChanges(data, func(key, before, after []byte) error {
+		changes = append(changes, RowChange{Key: string(key), Before: bytes.Clone(before), After: bytes.Clone(after)})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return changes, nil
+}
+
+// walkChanges validates the v1 change-list framing in place, calling fn
+// with each change's key, before- and after-image (aliasing data), and
+// stops at the first error fn returns.
+func walkChanges(data []byte, fn func(key, before, after []byte) error) error {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("storage: short change list")
+		return fmt.Errorf("storage: short change list")
 	}
 	n := binary.BigEndian.Uint32(data)
 	data = data[4:]
 	// Every change carries three 4-byte length prefixes, so a count the
-	// remaining bytes cannot hold is corrupt (and must not size an
-	// allocation).
+	// remaining bytes cannot hold is corrupt.
 	if uint64(n)*12 > uint64(len(data)) {
-		return nil, fmt.Errorf("storage: change count %d too large for %d bytes", n, len(data))
+		return fmt.Errorf("storage: change count %d too large for %d bytes", n, len(data))
 	}
-	changes := make([]RowChange, 0, n)
 	for i := uint32(0); i < n; i++ {
 		var key, before, after []byte
 		var err error
-		if key, data, err = readBytes(data); err != nil {
-			return nil, err
+		if key, data, err = sliceBytes(data); err != nil {
+			return err
 		}
 		if key == nil {
-			return nil, fmt.Errorf("storage: change %d has a nil key marker", i)
+			return fmt.Errorf("storage: change %d has a nil key marker", i)
 		}
-		if before, data, err = readBytes(data); err != nil {
-			return nil, err
+		if before, data, err = sliceBytes(data); err != nil {
+			return err
 		}
-		if after, data, err = readBytes(data); err != nil {
-			return nil, err
+		if after, data, err = sliceBytes(data); err != nil {
+			return err
 		}
-		changes = append(changes, RowChange{Key: string(key), Before: before, After: after})
+		if err = fn(key, before, after); err != nil {
+			return err
+		}
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing bytes after change list", len(data))
+		return fmt.Errorf("storage: %d trailing bytes after change list", len(data))
 	}
-	return changes, nil
+	return nil
 }

@@ -84,9 +84,20 @@ func EncodeTxnPayload(changes []RowChange) []byte {
 	return appendChanges(buf, changes)
 }
 
+// WritesetView is a payload's writeset section read in place: Len
+// big-endian hashes, sorted and de-duplicated.
+type WritesetView []byte
+
+// Len is the number of hashes.
+func (v WritesetView) Len() int { return len(v) / 8 }
+
+// At returns hash i.
+func (v WritesetView) At(i int) uint64 { return binary.BigEndian.Uint64(v[8*i:]) }
+
 // splitPayload separates the writeset section (if any) from the v1
-// change-list remainder. A v1 payload returns (nil, data, nil).
-func splitPayload(data []byte) (Writeset, []byte, error) {
+// change-list remainder without copying either. A v1 payload returns
+// (nil, data, nil).
+func splitPayload(data []byte) (WritesetView, []byte, error) {
 	if len(data) < 4 || binary.BigEndian.Uint32(data) != payloadMagicV2 {
 		return nil, data, nil
 	}
@@ -101,18 +112,15 @@ func splitPayload(data []byte) (Writeset, []byte, error) {
 	if len(data) < end {
 		return nil, nil, fmt.Errorf("storage: writeset truncated: want %d bytes have %d", end, len(data))
 	}
-	ws := make(Writeset, n)
-	for i := range ws {
-		ws[i] = binary.BigEndian.Uint64(data[8+i*8:])
-	}
-	return ws, data[end:], nil
+	return WritesetView(data[8:end:end]), data[end:], nil
 }
 
 // PayloadWriteset peeks the writeset out of a transaction payload without
-// decoding the row changes — the replica's dependency tracker runs on the
-// hot dispatch path and must not pay for a full payload decode. ok is
-// false for legacy payloads that carry no writeset.
-func PayloadWriteset(data []byte) (ws Writeset, ok bool) {
+// decoding the row changes or copying the hashes — the replica's
+// dependency tracker runs on the hot dispatch path and must not pay for a
+// full payload decode. ok is false for legacy payloads that carry no
+// writeset.
+func PayloadWriteset(data []byte) (ws WritesetView, ok bool) {
 	ws, _, err := splitPayload(data)
 	if err != nil || ws == nil {
 		return nil, false
@@ -124,13 +132,17 @@ func PayloadWriteset(data []byte) (ws Writeset, ok bool) {
 // EncodeChanges, returning the row changes and the writeset (nil for
 // legacy payloads).
 func DecodeTxnPayload(data []byte) ([]RowChange, Writeset, error) {
-	ws, rest, err := splitPayload(data)
+	view, rest, err := splitPayload(data)
 	if err != nil {
 		return nil, nil, err
 	}
 	changes, err := decodeChangeList(rest)
 	if err != nil {
 		return nil, nil, err
+	}
+	var ws Writeset
+	for i := range view.Len() {
+		ws = append(ws, view.At(i))
 	}
 	return changes, ws, nil
 }

@@ -53,7 +53,7 @@ func TestTxnPayloadRoundTrip(t *testing.T) {
 
 	// The cheap peek sees the same writeset.
 	peek, ok := PayloadWriteset(payload)
-	if !ok || !reflect.DeepEqual(peek, ws) {
+	if !ok || !reflect.DeepEqual(viewHashes(peek), ws) {
 		t.Fatalf("peek = %v %v, want %v", peek, ok, ws)
 	}
 
@@ -150,4 +150,13 @@ func TestWALCommitOpsTracksCommits(t *testing.T) {
 	if !reflect.DeepEqual(ops, want) {
 		t.Fatalf("commit ops = %v, want %v", ops, want)
 	}
+}
+
+// viewHashes copies a writeset view's hashes out.
+func viewHashes(v WritesetView) Writeset {
+	ws := make(Writeset, v.Len())
+	for i := range ws {
+		ws[i] = v.At(i)
+	}
+	return ws
 }

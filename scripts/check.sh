@@ -136,14 +136,18 @@ stage_spec() {
 		# Decoders of bytes read back from disk or the network: the binlog
 		# entry decoder (recovery and every in-memory-tail miss), the
 		# transaction payload decoders the applier runs on every entry, the
-		# engine WAL record decoder engine recovery runs, the wire decoder
-		# every received message goes through, and the config decoder for
-		# config entries and InstallSnapshot messages.
+		# engine WAL record decoder engine recovery runs, the replica's
+		# payload staging that writes its prepare record, the wire decoder
+		# every received message goes through, the config decoder for
+		# config entries and InstallSnapshot messages, and the checkpoint
+		# decoder for InstallSnapshot's engine state.
 		cat <<-EOF
 		fuzz:./internal/binlog=FuzzReadEntryAt
 		fuzz:./internal/storage=FuzzDecodeChanges
 		fuzz:./internal/storage=FuzzDecodeTxnPayload
 		fuzz:./internal/storage=FuzzDecodeWALRecord
+		fuzz:./internal/storage=FuzzStagePayload
+		fuzz:./internal/storage=FuzzDecodeCheckpoint
 		fuzz:./internal/wire=FuzzUnmarshal
 		fuzz:./internal/wire=FuzzDecodeConfig
 		EOF
